@@ -11,9 +11,7 @@ __version__ = "0.1.0"
 
 from .complexes import (
     MAX_VERTICES,
-    ComplexLike,
     SimplicialComplex,
-    SmdSubcomplex,
     new_complex,
     smd,
 )

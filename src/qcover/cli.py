@@ -64,7 +64,7 @@ def _emit_report(command: str, cx: SimplicialComplex, result: dict, t0: float) -
         "command": command,
         "input_digest": complex_digest(cx),
         "result": result,
-        "timing_ms": int((time.monotonic() - t0) * 1000),
+        "timing_ms": round((time.monotonic() - t0) * 1000, 3),
     }
     sys.stdout.write(json.dumps(report, indent=2) + "\n")
 
@@ -254,10 +254,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (QcoverError, ValueError) as exc:
+    except (OSError, QcoverError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

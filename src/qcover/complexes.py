@@ -1,4 +1,4 @@
-"""Facet-presented simplicial complexes and facet-subset views.
+"""Facet-presented simplicial complexes and their facet selections.
 
 A complex is stored through its facets only (the inclusion-maximal faces),
 as an antichain of vertex sets on dense labels 1..n.  Facets are kept both
@@ -9,11 +9,18 @@ Facet ids are 1-based positions in the canonical facet order (lexicographic
 on the sorted vertex lists).  Identical facet collections therefore get
 identical ids no matter how the input was ordered, which keeps every report
 and witness reproducible.
+
+One type serves both the validated input and every subcomplex generated by
+a facet subset: a :class:`SimplicialComplex` is a selection of facet ids
+from a root complex together with the vertex labels those facets use (its
+active universe).  A root selects all of its own facets; :func:`smd`
+selects fewer, keeping the root's ids and labels, so results on a
+subcomplex line up with results on the root.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+from typing import Iterable, Optional
 
 from .errors import (
     AntichainViolationError,
@@ -36,20 +43,36 @@ def _mask_of(vertices: Iterable[int]) -> int:
 
 
 class SimplicialComplex:
-    """Validated facet antichain on vertex labels 1..n.
+    """Facet-id selection from a validated root facet antichain.
+
+    ``parent`` is the root complex the ids index into (None on a root,
+    which selects all of its facets), ``vertex_count`` is the root's label
+    range 1..n, and ``facets``/``masks`` list the selected facets in
+    ``facet_ids`` order.  ``active_vertices`` are the labels the selected
+    facets use, ascending.
 
     Instances are immutable after construction and safe to share between
-    threads.  Construct via :func:`new_complex` (or directly; the
-    constructor performs the same validation).
+    threads.  Construct a root via :func:`new_complex` (or directly; the
+    constructor performs the same validation) and a subcomplex via
+    :func:`smd`.
     """
 
-    __slots__ = ("vertex_count", "facets", "masks")
+    __slots__ = (
+        "parent",
+        "vertex_count",
+        "facet_ids",
+        "facets",
+        "masks",
+        "active_vertices",
+        "_id_mask",
+    )
 
     def __init__(self, facets: Iterable[Iterable[int]]):
         raw = list(facets)
         if not raw:
             raise EmptySelectionError("a complex needs at least one facet")
         cleaned: list[frozenset[int]] = []
+        seen: set[frozenset[int]] = set()
         for idx, f in enumerate(raw):
             fs = frozenset(f)
             if not fs:
@@ -60,14 +83,15 @@ class SimplicialComplex:
                         f"facet #{idx + 1} contains {v!r}; vertex labels must be "
                         "positive integers"
                     )
-            if fs in cleaned:
+            if fs in seen:
                 raise DuplicateFacetError(
                     f"facet {sorted(fs)} appears more than once"
                 )
+            seen.add(fs)
             cleaned.append(fs)
         for i, f in enumerate(cleaned):
             for g in cleaned[i + 1:]:
-                if f < g or f == g:
+                if f < g:
                     raise AntichainViolationError(f, g)
                 if g < f:
                     raise AntichainViolationError(g, f)
@@ -84,38 +108,42 @@ class SimplicialComplex:
                 f"labels {missing} belong to no facet (labels must be dense 1..n)"
             )
 
+        facets = tuple(sorted(cleaned, key=lambda f: tuple(sorted(f))))
+        self._select(None, n, tuple(range(1, len(facets) + 1)), facets)
+
+    def _select(
+        self,
+        parent: Optional[SimplicialComplex],
+        n: int,
+        ids: tuple[int, ...],
+        facets: tuple[frozenset[int], ...],
+    ) -> None:
+        self.parent = parent
         self.vertex_count = n
-        self.facets = tuple(sorted(cleaned, key=lambda f: tuple(sorted(f))))
-        self.masks = tuple(_mask_of(f) for f in self.facets)
+        self.facet_ids = ids
+        self.facets = facets
+        self.masks = tuple(_mask_of(f) for f in facets)
+        used = 0
+        for m in self.masks:
+            used |= m
+        self.active_vertices = tuple(
+            v for v in range(1, n + 1) if used >> (v - 1) & 1
+        )
+        self._id_mask = _mask_of(ids)
 
     # -- ids and lookups ------------------------------------------------
 
-    @property
-    def facet_ids(self) -> range:
-        return range(1, len(self.facets) + 1)
+    def _check_id(self, fid: int) -> None:
+        if fid < 1 or not self._id_mask >> (fid - 1) & 1:
+            raise UnknownFacetIdError(f"facet id {fid} is not in the complex")
 
     def facet(self, fid: int) -> frozenset[int]:
-        if not 1 <= fid <= len(self.facets):
-            raise UnknownFacetIdError(f"no facet with id {fid}")
-        return self.facets[fid - 1]
+        self._check_id(fid)
+        return (self.parent or self).facets[fid - 1]
 
     def mask(self, fid: int) -> int:
-        if not 1 <= fid <= len(self.facets):
-            raise UnknownFacetIdError(f"no facet with id {fid}")
-        return self.masks[fid - 1]
-
-    def facet_label(self, fid: int) -> str:
-        self.facet(fid)
-        return f"F{fid}"
-
-    @property
-    def active_vertices(self) -> tuple[int, ...]:
-        return tuple(range(1, self.vertex_count + 1))
-
-    def vertex_position(self, v: int) -> int:
-        if not 1 <= v <= self.vertex_count:
-            raise ValueError(f"vertex {v} outside 1..{self.vertex_count}")
-        return v - 1
+        self._check_id(fid)
+        return (self.parent or self).masks[fid - 1]
 
     # -- basic operations --------------------------------------------------
 
@@ -125,82 +153,34 @@ class SimplicialComplex:
 
     def is_connected(self) -> bool:
         """Connectivity of the facet-overlap graph (edges where F and H meet)."""
-        return _overlap_connected(self)
+        reach, rest = self.masks[0], self.masks[1:]
+        while rest:
+            apart = []
+            for m in rest:
+                if m & reach:
+                    reach |= m
+                else:
+                    apart.append(m)
+            if len(apart) == len(rest):
+                return False
+            rest = apart
+        return True
 
     # -- value semantics ------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SimplicialComplex) and self.facets == other.facets
+        return (
+            isinstance(other, SimplicialComplex)
+            and self.facet_ids == other.facet_ids
+            and (self.parent or self).facets == (other.parent or other).facets
+        )
 
     def __hash__(self) -> int:
-        return hash(self.facets)
+        return hash(((self.parent or self).facets, self.facet_ids))
 
     def __repr__(self) -> str:
         shown = [sorted(f) for f in self.facets]
         return f"SimplicialComplex(n={self.vertex_count}, facets={shown})"
-
-
-class SmdSubcomplex:
-    """View of a parent complex restricted to a subset of its facets.
-
-    The active vertex universe shrinks to the vertices still occurring in a
-    selected facet; labels are kept from the parent.  Facet ids are the
-    parent's ids, so results on views line up with results on the parent.
-    Immutable; construct via :func:`smd`.
-    """
-
-    __slots__ = ("parent", "facet_ids", "active_vertices", "_pos")
-
-    def __init__(self, parent: SimplicialComplex, facet_ids: tuple[int, ...]):
-        self.parent = parent
-        self.facet_ids = facet_ids
-        verts: set[int] = set()
-        for fid in facet_ids:
-            verts |= parent.facet(fid)
-        self.active_vertices = tuple(sorted(verts))
-        self._pos = {v: i for i, v in enumerate(self.active_vertices)}
-
-    def facet(self, fid: int) -> frozenset[int]:
-        if fid not in self.facet_ids:
-            raise UnknownFacetIdError(f"facet id {fid} is not part of this subcomplex")
-        return self.parent.facet(fid)
-
-    def mask(self, fid: int) -> int:
-        if fid not in self.facet_ids:
-            raise UnknownFacetIdError(f"facet id {fid} is not part of this subcomplex")
-        return self.parent.mask(fid)
-
-    def facet_label(self, fid: int) -> str:
-        self.facet(fid)
-        return f"F{fid}"
-
-    def vertex_position(self, v: int) -> int:
-        try:
-            return self._pos[v]
-        except KeyError:
-            raise ValueError(f"vertex {v} is not in this subcomplex") from None
-
-    def dimension(self) -> int:
-        return max(len(self.facet(fid)) for fid in self.facet_ids) - 1
-
-    def is_connected(self) -> bool:
-        return _overlap_connected(self)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SmdSubcomplex)
-            and self.parent == other.parent
-            and self.facet_ids == other.facet_ids
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.parent, self.facet_ids))
-
-    def __repr__(self) -> str:
-        return f"SmdSubcomplex(ids={list(self.facet_ids)})"
-
-
-ComplexLike = Union[SimplicialComplex, SmdSubcomplex]
 
 
 def new_complex(facets: Iterable[Iterable[int]]) -> SimplicialComplex:
@@ -212,34 +192,20 @@ def new_complex(facets: Iterable[Iterable[int]]) -> SimplicialComplex:
     return SimplicialComplex(facets)
 
 
-def smd(cx: ComplexLike, facet_ids: Iterable[int]) -> SmdSubcomplex:
+def smd(cx: SimplicialComplex, facet_ids: Iterable[int]) -> SimplicialComplex:
     """Subcomplex generated by a facet-id subset (a maximal-dimension view).
 
-    Accepts either a complex or another view; views always root at the
-    original complex, so ids stay stable under nesting.
+    The ids must belong to ``cx``; the result always roots at the original
+    complex, so ids stay stable under nesting.
     """
     ids = tuple(sorted(set(facet_ids)))
     if not ids:
         raise EmptySelectionError("facet selection must be nonempty")
-    available = set(cx.facet_ids)
     for fid in ids:
-        if fid not in available:
-            raise UnknownFacetIdError(f"facet id {fid} is not in the complex")
-    parent = cx.parent if isinstance(cx, SmdSubcomplex) else cx
-    return SmdSubcomplex(parent, ids)
-
-
-def _overlap_connected(cx: ComplexLike) -> bool:
-    ids = list(cx.facet_ids)
-    if len(ids) <= 1:
-        return True
-    seen = {ids[0]}
-    stack = [ids[0]]
-    while stack:
-        cur = stack.pop()
-        cm = cx.mask(cur)
-        for other in ids:
-            if other not in seen and cm & cx.mask(other):
-                seen.add(other)
-                stack.append(other)
-    return len(seen) == len(ids)
+        cx._check_id(fid)
+    root = cx.parent or cx
+    view = object.__new__(SimplicialComplex)
+    view._select(
+        root, root.vertex_count, ids, tuple(root.facets[i - 1] for i in ids)
+    )
+    return view

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .complexes import ComplexLike, smd
+from .complexes import SimplicialComplex, smd
 from .cycles import Cycle, is_cycle, is_special_cycle
 from .errors import (
     LengthMismatchError,
@@ -47,6 +47,7 @@ from .quasiforest import (
     is_leaf,
     is_quasi_tree,
     minimal_subtree,
+    peel_leaves,
 )
 
 # a single numpy sweep handles at most this many candidate rows; larger
@@ -73,12 +74,12 @@ class Decomposition:
     c: CoverVector
 
 
-def _facet_positions(cx: ComplexLike) -> list[tuple[int, ...]]:
+def _facet_positions(cx: SimplicialComplex) -> list[tuple[int, ...]]:
     pos = {v: i for i, v in enumerate(cx.active_vertices)}
-    return [tuple(sorted(pos[v] for v in cx.facet(fid))) for fid in cx.facet_ids]
+    return [tuple(sorted(pos[v] for v in f)) for f in cx.facets]
 
 
-def _check_vector(cx: ComplexLike, a: Sequence[int]) -> tuple[int, ...]:
+def _check_vector(cx: SimplicialComplex, a: Sequence[int]) -> tuple[int, ...]:
     vec = tuple(int(x) for x in a)
     if len(vec) != len(cx.active_vertices):
         raise LengthMismatchError(
@@ -90,13 +91,13 @@ def _check_vector(cx: ComplexLike, a: Sequence[int]) -> tuple[int, ...]:
     return vec
 
 
-def cover_order(cx: ComplexLike, a: Sequence[int]) -> int:
+def cover_order(cx: SimplicialComplex, a: Sequence[int]) -> int:
     """Largest k for which a is a k-cover: the minimal facet sum."""
     vec = _check_vector(cx, a)
     return min(sum(vec[p] for p in f) for f in _facet_positions(cx))
 
 
-def is_k_cover(cx: ComplexLike, a: Sequence[int], k: int) -> bool:
+def is_k_cover(cx: SimplicialComplex, a: Sequence[int], k: int) -> bool:
     if k < 0:
         raise ValueError("cover order must be nonnegative")
     return cover_order(cx, a) >= k
@@ -194,7 +195,7 @@ def _splittable(a: tuple[int, ...], k: int, fpos: list[tuple[int, ...]]) -> bool
 
 
 def decompose_cover(
-    cx: ComplexLike, a: Sequence[int], k: int
+    cx: SimplicialComplex, a: Sequence[int], k: int
 ) -> Optional[Decomposition]:
     """A decomposition of the k-cover, or None when it is indecomposable.
 
@@ -253,7 +254,7 @@ def _candidate_block(
     return [tuple(int(x) for x in row) for row in block[keep]]
 
 
-def indecomposable_covers(cx: ComplexLike, k: int) -> list[CoverVector]:
+def indecomposable_covers(cx: SimplicialComplex, k: int) -> list[CoverVector]:
     """All indecomposable k-covers, sorted lexicographically.
 
     Candidates range over the box with entries <= k (<= 1 for k = 0); for
@@ -292,7 +293,7 @@ def indecomposable_covers(cx: ComplexLike, k: int) -> list[CoverVector]:
 
 
 def max_generator_degree(
-    cx: ComplexLike, k_max: int
+    cx: SimplicialComplex, k_max: int
 ) -> tuple[int, dict[int, CoverVector]]:
     """Largest k <= k_max with an indecomposable k-cover, plus certificates.
 
@@ -316,7 +317,10 @@ def max_generator_degree(
 
 
 def extend_cover_by_leaf(
-    gamma: ComplexLike, delta: ComplexLike, leaf: int, cover: CoverVector
+    gamma: SimplicialComplex,
+    delta: SimplicialComplex,
+    leaf: int,
+    cover: CoverVector,
 ) -> CoverVector:
     """Extend a cover of delta-minus-leaf to delta across the leaf facet.
 
@@ -349,12 +353,12 @@ def extend_cover_by_leaf(
     leaf_sum = sum(weight.get(v, 0) for v in delta.facet(leaf))
     deficit = max(0, cover.k - leaf_sum)
     ext = [weight.get(v, 0) for v in delta.active_vertices]
-    ext[delta.vertex_position(target)] += deficit
+    ext[delta.active_vertices.index(target)] += deficit
     return CoverVector(tuple(ext), cover.k)
 
 
 def witness_cover_from_cycle(
-    cx: ComplexLike, tree: RelationTree, cycle: Cycle
+    cx: SimplicialComplex, tree: RelationTree, cycle: Cycle
 ) -> CoverVector:
     """Indecomposable 2-cover of a quasi-tree built from a special odd cycle.
 
@@ -377,31 +381,22 @@ def witness_cover_from_cycle(
         )
 
     core = minimal_subtree(tree, cycle.facets)
-    keep = set(core.nodes)
-    current = list(cx.facet_ids)
     detached: list[int] = []
-    while set(current) != keep:
-        view = smd(cx, current)
-        for fid in current:
-            if fid not in keep and is_leaf(view, fid):
-                current.remove(fid)
-                detached.append(fid)
-                break
-        else:
+    for fid, branches in peel_leaves(cx, keep=frozenset(core.nodes)):
+        if not branches:
             raise VerificationFailedError(
                 "no detachable leaf outside the cycle core; not a quasi-tree?"
             )
+        detached.append(fid)
 
-    base = smd(cx, current)
+    gamma = smd(cx, core.nodes)
     cyc_verts = set(cycle.vertices)
-    vec = tuple(1 if v in cyc_verts else 0 for v in base.active_vertices)
+    vec = tuple(1 if v in cyc_verts else 0 for v in gamma.active_vertices)
     cover = CoverVector(vec, 2)
-    ids = list(current)
     for fid in reversed(detached):
-        gamma = smd(cx, ids)
-        ids.append(fid)
-        delta = smd(cx, ids)
+        delta = smd(cx, gamma.facet_ids + (fid,))
         cover = extend_cover_by_leaf(gamma, delta, fid, cover)
+        gamma = delta
 
     if len(cover.a) != len(cx.active_vertices):
         raise VerificationFailedError("witness vector lost vertices on the way up")

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .complexes import ComplexLike
+from .complexes import SimplicialComplex
 from .errors import (
     BudgetExceededError,
     LengthMismatchError,
@@ -69,7 +69,9 @@ class Cycle:
         return {"vertices": list(self.vertices), "facets": list(self.facets)}
 
 
-def is_cycle(cx: ComplexLike, vertices: Sequence[int], facets: Sequence[int]) -> bool:
+def is_cycle(
+    cx: SimplicialComplex, vertices: Sequence[int], facets: Sequence[int]
+) -> bool:
     """Check the cycle conditions: distinctness and consecutive incidence."""
     verts = list(vertices)
     fids = list(facets)
@@ -94,7 +96,7 @@ def is_cycle(cx: ComplexLike, vertices: Sequence[int], facets: Sequence[int]) ->
     return True
 
 
-def is_special_cycle(cx: ComplexLike, cycle: Cycle) -> bool:
+def is_special_cycle(cx: SimplicialComplex, cycle: Cycle) -> bool:
     """True when no facet of the cycle contains more than two cycle vertices."""
     if not is_cycle(cx, cycle.vertices, cycle.facets):
         raise NotACycleError(f"{cycle} is not a cycle of the complex")
@@ -116,7 +118,7 @@ def _canonical_closure_ok(
 
 
 def enumerate_cycles(
-    cx: ComplexLike,
+    cx: SimplicialComplex,
     max_s: Optional[int] = None,
     only_special: bool = False,
     odd_only: bool = False,
@@ -206,7 +208,7 @@ def enumerate_cycles(
 
 
 def find_special_odd_cycle(
-    cx: ComplexLike, budget: int = DEFAULT_CYCLE_BUDGET
+    cx: SimplicialComplex, budget: int = DEFAULT_CYCLE_BUDGET
 ) -> Optional[Cycle]:
     """First special odd cycle in canonical order, or None.
 

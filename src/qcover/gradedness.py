@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .complexes import ComplexLike, smd
+from .complexes import SimplicialComplex, smd
 from .covers import CoverVector, indecomposable_covers, witness_cover_from_cycle
 from .cycles import Cycle, find_special_odd_cycle, DEFAULT_CYCLE_BUDGET
 from .errors import NotQuasiTreeError
@@ -54,7 +54,7 @@ class Verdict:
 
 
 def is_standard_graded(
-    cx: ComplexLike,
+    cx: SimplicialComplex,
     branch_rule: BranchRule = min_branch_rule,
     budget: int = DEFAULT_CYCLE_BUDGET,
 ) -> Verdict:
@@ -85,7 +85,7 @@ def is_standard_graded(
     )
 
 
-def brute_force_verdict(cx: ComplexLike, k_max: int) -> Verdict:
+def brute_force_verdict(cx: SimplicialComplex, k_max: int) -> Verdict:
     """Bound-limited decision by enumerating indecomposable covers.
 
     Works on any complex.  A generator of degree 2..k_max disproves
@@ -127,7 +127,7 @@ class CrossValidation:
 
 
 def cross_validate(
-    cx: ComplexLike,
+    cx: SimplicialComplex,
     k_max: int,
     branch_rule: BranchRule = min_branch_rule,
     sweep_smds: bool = False,

@@ -2,13 +2,23 @@
 
 A facet F is a *leaf* when a single other facet G absorbs every
 intersection: H∩F ⊆ G∩F for every other facet H.  Such a G is a *branch*
-of F.  A complex is a *quasi-forest* when its facets can be listed so that
-each one is a leaf of the preceding prefix, and a connected quasi-forest is
-a *quasi-tree*.
+of F (Faridi, "The facet ideal of a simplicial complex", 2002).  A complex
+is a *quasi-forest* when its facets can be listed so that each one is a
+leaf of the preceding prefix, and a connected quasi-forest is a
+*quasi-tree* (Zheng, "Resolutions of facet ideals", 2004).
 
-Quasi-forest recognition here is greedy: repeatedly detach some leaf of the
-current subcomplex.  Greedy completeness is not assumed; the test suite
-checks it against exhaustive permutation search on every small instance.
+Every leaf question goes through one kernel, :func:`peel_leaves`.  It
+detaches facets one at a time from a list of facet ids, using the facet
+bit masks alone, and reports the admissible branches of each detached
+facet.  Greedy leaf orders, validation of a given order, relation trees
+and the witness detachment in :mod:`qcover.covers` consume a whole peel;
+:func:`branches_of`, :func:`is_leaf` and :func:`find_leaf` read its first
+step.
+
+Quasi-forest recognition here is greedy: repeatedly detach the
+smallest-id leaf of what is left.  Greedy completeness is not assumed;
+the test suite checks it against exhaustive permutation search on every
+small instance.
 
 The *relation tree* records, for one leaf order and one branch choice per
 detached leaf, which branch each facet was glued to.  Different orders and
@@ -18,15 +28,14 @@ branch rules give different trees; every one of them is a tree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Collection, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .complexes import ComplexLike, SmdSubcomplex, smd
+from .complexes import SimplicialComplex
 from .errors import (
     InvalidLeafOrderError,
     NotAPermutationError,
-    UnknownFacetIdError,
     UnknownNodeError,
 )
 
@@ -53,83 +62,114 @@ def random_branch_rule(seed: int) -> BranchRule:
     return rule
 
 
-# --- leaves and branches ------------------------------------------------------
+# --- leaf peeling ---------------------------------------------------------------
 
 
-def branches_of(cx: ComplexLike, fid: int) -> tuple[int, ...]:
+def peel_leaves(
+    cx: SimplicialComplex,
+    detach: Optional[Iterable[int]] = None,
+    keep: Collection[int] = (),
+) -> Iterator[tuple[Optional[int], tuple[int, ...]]]:
+    """Detach facets one at a time, yielding (facet, its branches) per step.
+
+    Each step detaches the next facet of ``detach`` when it is given (the
+    caller lists facets of ``cx``), and otherwise the smallest-id leaf
+    outside ``keep``; peeling ends once only ``keep`` is left.  Branches are
+    those of the facet among the facets left before its step, ascending;
+    the last facet standing is its own branch.  A step that finds no leaf
+    yields (None, ()) and ends the peel.
+    """
+    mask = dict(zip(cx.facet_ids, cx.masks))
+    live = list(cx.facet_ids)
+    picks = None if detach is None else iter(detach)
+    while len(live) > len(keep):
+        if len(live) == 1:
+            yield live[0], (live[0],)
+            return
+        # shared: vertices of two or more remaining facets, so the part of F
+        # that other facets meet is mask[F] & shared, and G is a branch of F
+        # when that part lies inside G
+        seen = shared = 0
+        for g in live:
+            shared |= seen & mask[g]
+            seen |= mask[g]
+        candidates = (
+            [f for f in live if f not in keep] if picks is None else [next(picks)]
+        )
+        for fid in candidates:
+            inner = mask[fid] & shared
+            branches = tuple(g for g in live if g != fid and inner & ~mask[g] == 0)
+            if branches:
+                break
+        else:
+            yield None, ()
+            return
+        yield fid, branches
+        live.remove(fid)
+
+
+def branches_of(cx: SimplicialComplex, fid: int) -> tuple[int, ...]:
     """All branches of the facet, ascending; empty when it is not a leaf.
 
     A single-facet complex returns the facet itself (leaf by convention).
     """
-    fmask = cx.mask(fid)
-    others = [g for g in cx.facet_ids if g != fid]
-    if not others:
-        return (fid,)
-    union = 0
-    for g in others:
-        union |= cx.mask(g) & fmask
-    return tuple(g for g in others if union & ~cx.mask(g) == 0)
+    cx.facet(fid)  # raises UnknownFacetIdError for ids outside the complex
+    return next(peel_leaves(cx, detach=(fid,)))[1]
 
 
-def is_leaf(cx: ComplexLike, fid: int) -> bool:
+def is_leaf(cx: SimplicialComplex, fid: int) -> bool:
     return bool(branches_of(cx, fid))
 
 
-def find_leaf(cx: ComplexLike) -> Optional[tuple[int, tuple[int, ...]]]:
+def find_leaf(cx: SimplicialComplex) -> Optional[tuple[int, tuple[int, ...]]]:
     """First leaf in canonical id order, with all of its branches.
 
     Returns None when the complex has no leaf at all (so it cannot be a
     quasi-forest).
     """
-    for fid in cx.facet_ids:
-        br = branches_of(cx, fid)
-        if br:
-            return fid, br
-    return None
+    fid, branches = next(peel_leaves(cx))
+    return (fid, branches) if branches else None
 
 
 # --- leaf orders ---------------------------------------------------------------
 
 
-def leaf_order(cx: ComplexLike) -> Optional[tuple[int, ...]]:
+def leaf_order(cx: SimplicialComplex) -> Optional[tuple[int, ...]]:
     """Greedy leaf order, or None when removal gets stuck.
 
     Repeatedly detaches the smallest-id leaf of the remaining subcomplex and
     returns the removal sequence reversed, so each facet is a leaf of the
     prefix that precedes it.
     """
-    remaining = list(cx.facet_ids)
     removed: list[int] = []
-    while len(remaining) > 1:
-        view = smd(cx, remaining)
-        hit = find_leaf(view)
-        if hit is None:
+    for fid, branches in peel_leaves(cx):
+        if not branches:
             return None
-        remaining.remove(hit[0])
-        removed.append(hit[0])
-    removed.append(remaining[0])
+        removed.append(fid)
     return tuple(reversed(removed))
 
 
-def validate_leaf_order(cx: ComplexLike, order: Iterable[int]) -> bool:
-    """True iff each facet in the order is a leaf of the preceding prefix."""
-    seq = list(order)
+def _peel_order(
+    cx: SimplicialComplex, seq: list[int]
+) -> Iterator[tuple[Optional[int], tuple[int, ...]]]:
+    """Peel a proposed leaf order from its last facet back to its first."""
     if sorted(seq) != sorted(cx.facet_ids):
         raise NotAPermutationError(
             f"order {seq} is not a permutation of facet ids {list(cx.facet_ids)}"
         )
-    for i in range(1, len(seq)):
-        prefix = smd(cx, seq[: i + 1])
-        if not is_leaf(prefix, seq[i]):
-            return False
-    return True
+    return peel_leaves(cx, detach=reversed(seq))
 
 
-def is_quasi_forest(cx: ComplexLike) -> bool:
+def validate_leaf_order(cx: SimplicialComplex, order: Iterable[int]) -> bool:
+    """True iff each facet in the order is a leaf of the preceding prefix."""
+    return all(branches for _, branches in _peel_order(cx, list(order)))
+
+
+def is_quasi_forest(cx: SimplicialComplex) -> bool:
     return leaf_order(cx) is not None
 
 
-def is_quasi_tree(cx: ComplexLike) -> bool:
+def is_quasi_tree(cx: SimplicialComplex) -> bool:
     return cx.is_connected() and leaf_order(cx) is not None
 
 
@@ -156,7 +196,7 @@ class RelationTree:
 
 
 def relation_tree(
-    cx: ComplexLike,
+    cx: SimplicialComplex,
     order: Iterable[int],
     branch_rule: BranchRule = min_branch_rule,
 ) -> RelationTree:
@@ -167,20 +207,19 @@ def relation_tree(
     edge, repeat.  The first facet becomes the root with branch(root)=root.
     """
     seq = list(order)
-    if not validate_leaf_order(cx, seq):
+    steps = list(_peel_order(cx, seq))
+    if not all(branches for _, branches in steps):
         raise InvalidLeafOrderError(f"{seq} is not a leaf order of the complex")
     branch: dict[int, int] = {seq[0]: seq[0]}
     edges: list[tuple[int, int]] = []
-    for i in range(len(seq) - 1, 0, -1):
-        prefix = smd(cx, seq[: i + 1])
-        adm = branches_of(prefix, seq[i])
-        chosen = branch_rule(seq[i], adm)
+    for fid, adm in steps[:-1]:
+        chosen = branch_rule(fid, adm)
         if chosen not in adm:
             raise ValueError(
                 f"branch rule chose {chosen}, admissible branches are {list(adm)}"
             )
-        branch[seq[i]] = chosen
-        edges.append((min(seq[i], chosen), max(seq[i], chosen)))
+        branch[fid] = chosen
+        edges.append((min(fid, chosen), max(fid, chosen)))
     return RelationTree(
         nodes=tuple(sorted(seq)),
         edges=tuple(sorted(edges)),
@@ -256,7 +295,7 @@ def minimal_subtree(tree: RelationTree, targets: Iterable[int]) -> RelationTree:
 # --- free vertices ---------------------------------------------------------------
 
 
-def free_vertices(cx: ComplexLike, fid: int) -> frozenset[int]:
+def free_vertices(cx: SimplicialComplex, fid: int) -> frozenset[int]:
     """Vertices of the facet that belong to no other facet.
 
     Nonempty whenever the facet is a leaf: if every vertex of F also lay in
@@ -273,7 +312,7 @@ def free_vertices(cx: ComplexLike, fid: int) -> frozenset[int]:
 # --- export -----------------------------------------------------------------------
 
 
-def relation_tree_dot(tree: RelationTree, cx: ComplexLike) -> str:
+def relation_tree_dot(tree: RelationTree, cx: SimplicialComplex) -> str:
     """Byte-stable DOT rendering; each edge points from a facet to its branch."""
     lines = ["digraph relation_tree {"]
     for fid in tree.nodes:

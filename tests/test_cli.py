@@ -73,8 +73,9 @@ def test_check_malformed_input(capsys, tmp_path):
     p.write_text('{"facets": [[1, 2], oops')
     assert main(["check", str(p)]) == 2
     capsys.readouterr()
-    assert main(["check", str(tmp_path / "missing.json")]) == 2
-    capsys.readouterr()
+    for path in (tmp_path / "missing.json", tmp_path):
+        assert main(["check", str(path)]) == 2
+        capsys.readouterr()
 
 
 def test_reports_are_reproducible(capsys, delta3_file):

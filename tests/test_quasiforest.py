@@ -26,11 +26,14 @@ from qcover import (
     smd,
     validate_leaf_order,
 )
-from qcover.families import delta_n, double_fan
+from qcover.families import GeneratorSeed, delta_n, double_fan, random_quasi_tree
 
 from oracles import facet_sets, oracle_has_leaf_order, oracle_is_leaf_order
 
 TRIANGLE = [{1, 2}, {2, 3}, {1, 3}]
+# draws of GeneratorSeed(s, 6 + s % 30, 2 + s % 7) with 30 to 64 vertices
+# and 12 to 35 facets, the upper part of the domain the engine accepts
+LARGE_SEEDS = (6, 18, 24, 28, 29, 58, 75, 109, 119, 143, 149, 194)
 
 
 # --- leaves --------------------------------------------------------------
@@ -116,6 +119,20 @@ def test_greedy_matches_exhaustive_search(small_complex_corpus):
         if (leaf_order(cx) is not None) != oracle_has_leaf_order(cx)
     ]
     assert disagreements == []
+
+
+def test_leaf_peeling_on_large_quasi_trees():
+    for s in LARGE_SEEDS:
+        cx = random_quasi_tree(GeneratorSeed(s, 6 + s % 30, 2 + s % 7))
+        assert 30 <= cx.vertex_count <= 64
+        order = leaf_order(cx)
+        assert oracle_is_leaf_order(facet_sets(cx), [fid - 1 for fid in order])
+        assert validate_leaf_order(cx, order)
+        for rule in (min_branch_rule, max_branch_rule):
+            tree = relation_tree(cx, order, rule)
+            assert tree.nodes == tuple(cx.facet_ids)
+            assert len(tree.edges) == len(tree.nodes) - 1
+            assert _tree_connected(tree)
 
 
 def test_quasi_tree_requires_connectivity():
