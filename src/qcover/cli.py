@@ -52,9 +52,12 @@ def _budget() -> int:
     if raw is None:
         return DEFAULT_CYCLE_BUDGET
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
-        raise QcoverError(f"QCOVER_BUDGET must be an integer, got {raw!r}") from None
+        budget = None
+    if budget is None or budget < 0:
+        raise QcoverError(f"QCOVER_BUDGET must be a nonnegative integer, got {raw!r}")
+    return budget
 
 
 def _emit_report(command: str, cx: SimplicialComplex, result: dict, t0: float) -> None:

@@ -12,6 +12,13 @@ Vectors here are plain tuples aligned with the active vertex universe of
 whichever complex or subcomplex they belong to (sorted original labels, so
 subcomplex vectors embed into the parent by label).
 
+One search shape serves both questions: an ordered depth-first walk over
+the coordinates that tries ascending values, so the first hit and the
+order of the hits are lexicographic, and that drops a prefix as soon as a
+per-facet bound shows no completion can qualify.  Split decisions walk the
+box 0 <= b <= a over the support of a; enumeration walks the box of
+candidate covers.  Neither materialises its box.
+
 Enumeration facts used by the search, both re-checked by the test suite
 against an unoptimized oracle:
 
@@ -24,11 +31,8 @@ against an unoptimized oracle:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .complexes import SimplicialComplex, smd
 from .cycles import Cycle, is_cycle, is_special_cycle
@@ -49,11 +53,6 @@ from .quasiforest import (
     minimal_subtree,
     peel_leaves,
 )
-
-# a single numpy sweep handles at most this many candidate rows; larger
-# boxes are cut into lexicographic chunks over the leading coordinates
-_NUMPY_ROWS = 1 << 21
-
 
 @dataclass(frozen=True)
 class CoverVector:
@@ -113,65 +112,41 @@ def _lex_first_split(
 
     The split is valid when cover_order(b) + cover_order(a-b) >= k; the
     orders can then be declared as i = min(cover_order(b), k), j = k - i.
+    An ordered DFS tries ascending values on the support of a (zero entries
+    of b stay 0, which leaves the lexicographic order intact) and drops a
+    prefix as soon as the order b can still reach plus the order a - b can
+    still keep falls below k.
     """
-    n = len(a)
-    rows = 1
-    for x in a:
-        rows *= x + 1
-    if rows <= 2:
-        return None
-    a_sums = [sum(a[p] for p in f) for f in fpos]
-
-    if rows <= _NUMPY_ROWS:
-        grids = np.meshgrid(*[np.arange(x + 1) for x in a], indexing="ij")
-        box = np.stack([g.reshape(-1) for g in grids], axis=1).astype(np.int32)
-        sums = np.zeros((box.shape[0], len(fpos)), dtype=np.int32)
-        for j, f in enumerate(fpos):
-            sums[:, j] = box[:, list(f)].sum(axis=1)
-        order_b = sums.min(axis=1)
-        order_c = (np.asarray(a_sums, dtype=np.int32) - sums).min(axis=1)
-        ok = order_b + order_c >= k
-        ok[0] = False
-        ok[-1] = False
-        if not ok.any():
-            return None
-        return tuple(int(x) for x in box[int(np.argmax(ok))])
-
-    # big boxes: ordered DFS with a per-facet feasibility bound
+    sup = [t for t, x in enumerate(a) if x > 0]
     m = len(fpos)
-    suffix = [[0] * (n + 1) for _ in range(m)]
+    a_sums = [sum(a[p] for p in f) for f in fpos]
+    # suffix[j][i]: weight a puts on facet j from support slot i onwards
+    suffix = [[0] * (len(sup) + 1) for _ in range(m)]
     for j, f in enumerate(fpos):
-        in_f = [False] * n
-        for p in f:
-            in_f[p] = True
-        for t in range(n - 1, -1, -1):
-            suffix[j][t] = suffix[j][t + 1] + (a[t] if in_f[t] else 0)
-    facets_at = [[j for j, f in enumerate(fpos) if t in f] for t in range(n)]
-    b = [0] * n
+        for i in range(len(sup) - 1, -1, -1):
+            suffix[j][i] = suffix[j][i + 1] + (a[sup[i]] if sup[i] in f else 0)
+    facets_at = [[j for j, f in enumerate(fpos) if t in f] for t in sup]
+    total = sum(a)
+    b = [0] * len(a)
     b_sums = [0] * m
 
-    def rec(t: int) -> Optional[tuple[int, ...]]:
-        if t == n:
-            if all(x == 0 for x in b) or list(a) == b:
-                return None
-            ob = min(b_sums)
-            oc = min(a_sums[j] - b_sums[j] for j in range(m))
-            return tuple(b) if ob + oc >= k else None
+    def rec(i: int) -> Optional[tuple[int, ...]]:
+        if i == len(sup):
+            return tuple(b) if 0 < sum(b) < total else None
+        t = sup[i]
         for val in range(a[t] + 1):
             b[t] = val
-            for j in facets_at[t]:
-                b_sums[j] += val
-            ub_b = min(b_sums[j] + suffix[j][t + 1] for j in range(m))
+            if val:
+                for j in facets_at[i]:
+                    b_sums[j] += 1
+            ub_b = min(b_sums[j] + suffix[j][i + 1] for j in range(m))
             ub_c = min(a_sums[j] - b_sums[j] for j in range(m))
             if ub_b + ub_c >= k:
-                hit = rec(t + 1)
+                hit = rec(i + 1)
                 if hit is not None:
-                    for j in facets_at[t]:
-                        b_sums[j] -= val
-                    b[t] = 0
                     return hit
-            for j in facets_at[t]:
-                b_sums[j] -= val
+        for j in facets_at[i]:
+            b_sums[j] -= a[t]
         b[t] = 0
         return None
 
@@ -220,75 +195,55 @@ def decompose_cover(
 # --- enumeration -----------------------------------------------------------------
 
 
-def _candidate_block(
-    prefix: tuple[int, ...],
-    tail_n: int,
-    cap: int,
-    fpos: list[tuple[int, ...]],
-    k: int,
-    minimal: bool,
-) -> list[tuple[int, ...]]:
-    """All surviving candidates extending one fixed prefix, in lex order."""
-    t = len(prefix)
-    n = t + tail_n
-    if tail_n == 0:
-        block = np.asarray([prefix], dtype=np.int32)
-    else:
-        grids = np.meshgrid(*([np.arange(cap + 1)] * tail_n), indexing="ij")
-        tail = np.stack([g.reshape(-1) for g in grids], axis=1).astype(np.int32)
-        block = np.concatenate(
-            [np.broadcast_to(np.asarray(prefix, np.int32), (tail.shape[0], t)), tail],
-            axis=1,
-        )
-    sums = np.zeros((block.shape[0], len(fpos)), dtype=np.int32)
-    for j, f in enumerate(fpos):
-        sums[:, j] = block[:, list(f)].sum(axis=1)
-    keep = (sums >= k).all(axis=1)
-    keep &= block.any(axis=1)
-    if minimal:
-        tight = sums == k
-        for i in range(n):
-            cols = [j for j, f in enumerate(fpos) if i in f]
-            has_tight = tight[:, cols].any(axis=1)
-            keep &= (block[:, i] == 0) | has_tight
-    return [tuple(int(x) for x in row) for row in block[keep]]
-
-
 def indecomposable_covers(cx: SimplicialComplex, k: int) -> list[CoverVector]:
     """All indecomposable k-covers, sorted lexicographically.
 
-    Candidates range over the box with entries <= k (<= 1 for k = 0); for
-    k >= 1 they are further restricted to minimal k-covers, the only
-    non-unit vectors that can survive the decomposability filter.  Each
-    candidate is then decided exactly.
+    A vertex-order DFS tries ascending values up to k (up to 1 for k = 0),
+    so the candidates come out in lexicographic order.  It drops a prefix
+    once some facet cannot reach k even with every open vertex at the cap,
+    and for k >= 1 it stops raising a vertex once every facet through it is
+    above k, since such a vertex can lie in no tight facet.  Each minimal
+    k-cover reached (for k = 0, each nonzero vector) is decided exactly.
     """
     if k < 0:
         raise ValueError("cover order must be nonnegative")
     fpos = _facet_positions(cx)
     n = len(cx.active_vertices)
     cap = 1 if k == 0 else k
-    minimal = k >= 1
-
-    tail_n = n
-    while (cap + 1) ** tail_n > _NUMPY_ROWS and tail_n > 0:
-        tail_n -= 1
-    head_n = n - tail_n
-
+    facets_at = [[j for j, f in enumerate(fpos) if t in f] for t in range(n)]
+    open_count = [len(f) for f in fpos]
+    sums = [0] * len(fpos)
+    a = [0] * n
     out: list[CoverVector] = []
-    for prefix in itertools.product(range(cap + 1), repeat=head_n):
-        # a facet cannot reach k even with a full tail: skip the prefix
-        skip = False
-        for f in fpos:
-            got = sum(prefix[p] for p in f if p < head_n)
-            room = cap * sum(1 for p in f if p >= head_n)
-            if got + room < k:
-                skip = True
-                break
-        if skip:
-            continue
-        for cand in _candidate_block(prefix, tail_n, cap, fpos, k, minimal):
-            if not _splittable(cand, k, fpos):
+
+    def rec(t: int) -> None:
+        if t == n:
+            if k >= 1 and any(
+                x and all(sums[j] != k for j in facets_at[i]) for i, x in enumerate(a)
+            ):
+                return
+            cand = tuple(a)
+            if any(cand) and not _splittable(cand, k, fpos):
                 out.append(CoverVector(cand, k))
+            return
+        at = facets_at[t]
+        for j in at:
+            open_count[j] -= 1
+        for val in range(cap + 1):
+            a[t] = val
+            if val:
+                for j in at:
+                    sums[j] += 1
+                if k >= 1 and all(sums[j] > k for j in at):
+                    break
+            if all(sums[j] + cap * open_count[j] >= k for j in at):
+                rec(t + 1)
+        for j in at:
+            sums[j] -= a[t]
+            open_count[j] += 1
+        a[t] = 0
+
+    rec(0)
     return out
 
 

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .complexes import SimplicialComplex, new_complex
 from .errors import NTooSmallError
 
@@ -68,6 +66,8 @@ def random_quasi_tree(g: GeneratorSeed) -> SimplicialComplex:
     (keeping the antichain).  The output is a quasi-tree by construction,
     and every facet size is drawn uniformly from 2..max_facet_size.
     """
+    import numpy as np
+
     rng = np.random.Generator(np.random.PCG64(g.seed))
     lo = min(2, g.max_facet_size)
 

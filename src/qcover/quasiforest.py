@@ -30,8 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Collection, Iterable, Iterator, Optional
 
-import numpy as np
-
 from .complexes import SimplicialComplex
 from .errors import (
     InvalidLeafOrderError,
@@ -54,6 +52,8 @@ def max_branch_rule(leaf: int, branches: tuple[int, ...]) -> int:
 
 def random_branch_rule(seed: int) -> BranchRule:
     """Seed-stable branch rule (PCG64); same seed, same choices."""
+    import numpy as np
+
     rng = np.random.Generator(np.random.PCG64(seed))
 
     def rule(leaf: int, branches: tuple[int, ...]) -> int:

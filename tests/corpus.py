@@ -17,6 +17,10 @@ from qcover import (
     random_quasi_tree,
 )
 
+# draws of GeneratorSeed(s, 6 + s % 30, 2 + s % 7) with 30 to 64 vertices
+# and 12 to 35 facets, the upper part of the domain the engine accepts
+LARGE_SEEDS = (6, 18, 24, 28, 29, 58, 75, 109, 119, 143, 149, 194)
+
 
 def build_quasi_tree_corpus(
     count=200, max_facets=6, max_vertices=9, max_facet_size=4, min_with_cycle=8

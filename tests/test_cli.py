@@ -1,9 +1,14 @@
 """Exit codes and report payloads are the CLI's machine contract."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qcover
 from qcover import new_complex
 from qcover.cli import main
 from qcover.families import delta_n, double_fan
@@ -166,3 +171,16 @@ def test_budget_env_override(capsys, delta3_file, monkeypatch):
     monkeypatch.setenv("QCOVER_BUDGET", "not-a-number")
     assert main(["check", delta3_file]) == 2
     capsys.readouterr()
+    monkeypatch.setenv("QCOVER_BUDGET", "-1")
+    assert main(["check", delta3_file]) == 2
+    err = capsys.readouterr().err
+    assert "QCOVER_BUDGET must be a nonnegative integer, got '-1'" in err
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    env = {**os.environ, "PYTHONPATH": str(Path(qcover.__file__).parents[1])}
+    probe = "import sys, qcover.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"

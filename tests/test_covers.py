@@ -2,7 +2,7 @@
 
 The heavy lifting is cross-checked against the unoptimized oracles in
 ``oracles.py`` on small instances, so the engine's pruning (entry caps,
-minimality, unit peels, numpy sweeps) never goes unchecked.
+minimality, unit peels, DFS bounds) never goes unchecked.
 """
 
 import pytest

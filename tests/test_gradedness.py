@@ -1,5 +1,7 @@
 """Verdicts, the criterion/brute-force equivalence, cross-validation."""
 
+import json
+
 import pytest
 
 from qcover import (
@@ -15,7 +17,11 @@ from qcover import (
     new_complex,
     witness_cover_from_cycle,
 )
-from qcover.families import delta_n, double_fan
+from qcover.cli import main
+from qcover.families import GeneratorSeed, delta_n, double_fan, random_quasi_tree
+from qcover.fileio import to_json
+
+from corpus import LARGE_SEEDS
 
 
 def test_delta_negative_verdict_with_both_witnesses():
@@ -138,3 +144,48 @@ def test_witness_coherence_on_corpus(quasi_tree_corpus):
             assert v.cover_witness.k == 2
             assert is_k_cover(cx, v.cover_witness.a, 2)
             assert decompose_cover(cx, v.cover_witness.a, 2) is None
+
+
+# --- the whole domain: up to 64 vertices -----------------------------------
+
+
+def assert_witnesses_recheck(cx, verdict):
+    """Re-check a negative verdict's witnesses by direct sums on the facets.
+
+    The cycle must be odd and special (each of its facets holds exactly the
+    two cycle vertices it links), and the cover a 2-cover.
+    """
+    facet = {fid: set(f) for fid, f in zip(cx.facet_ids, cx.facets)}
+    verts = verdict["cycle_witness"]["vertices"]
+    fids = verdict["cycle_witness"]["facets"]
+    s = len(verts)
+    assert s >= 3 and s % 2 == 1
+    assert len(set(verts)) == s and len(set(fids)) == s
+    for i, fid in enumerate(fids):
+        assert facet[fid] & set(verts) == {verts[i], verts[(i + 1) % s]}
+    cover = verdict["cover_witness"]
+    weight = dict(zip(sorted(set().union(*facet.values())), cover["a"], strict=True))
+    assert cover["k"] == 2
+    assert all(sum(weight[v] for v in f) >= 2 for f in facet.values())
+
+
+@pytest.mark.parametrize("n", [17, 32])
+def test_check_on_wide_delta_exits_10(capsys, tmp_path, n):
+    cx = delta_n(n)
+    path = tmp_path / "delta.json"
+    path.write_text(to_json(cx))
+    assert main(["check", str(path)]) == 10
+    verdict = json.loads(capsys.readouterr().out)["result"]["verdict"]
+    assert verdict["standard_graded"] is False
+    assert_witnesses_recheck(cx, verdict)
+
+
+def test_criterion_answers_large_quasi_trees():
+    negatives = 0
+    for s in LARGE_SEEDS:
+        cx = random_quasi_tree(GeneratorSeed(s, 6 + s % 30, 2 + s % 7))
+        v = is_standard_graded(cx)
+        if not v.standard_graded:
+            negatives += 1
+            assert_witnesses_recheck(cx, v.to_dict())
+    assert negatives >= 1

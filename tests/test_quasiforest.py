@@ -28,12 +28,10 @@ from qcover import (
 )
 from qcover.families import GeneratorSeed, delta_n, double_fan, random_quasi_tree
 
+from corpus import LARGE_SEEDS
 from oracles import facet_sets, oracle_has_leaf_order, oracle_is_leaf_order
 
 TRIANGLE = [{1, 2}, {2, 3}, {1, 3}]
-# draws of GeneratorSeed(s, 6 + s % 30, 2 + s % 7) with 30 to 64 vertices
-# and 12 to 35 facets, the upper part of the domain the engine accepts
-LARGE_SEEDS = (6, 18, 24, 28, 29, 58, 75, 109, 119, 143, 149, 194)
 
 
 # --- leaves --------------------------------------------------------------
@@ -187,6 +185,12 @@ def test_tree_invariants_across_random_rules(quasi_tree_corpus):
                 assert is_branch_ancestor(tree, tree.root, fid)
                 if tree.degree(fid) == 1:
                     assert is_leaf(cx, fid)
+
+
+def test_random_branch_rule_stream_is_pinned():
+    # PCG64 draws recorded once; verify --seed replays depend on this stream
+    rule = random_branch_rule(0)
+    assert [rule(0, (1, 2, 3, 4, 5)) for _ in range(8)] == [5, 4, 3, 2, 2, 1, 1, 1]
 
 
 def _tree_connected(tree):
