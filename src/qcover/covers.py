@@ -19,14 +19,18 @@ per-facet bound shows no completion can qualify.  Split decisions walk the
 box 0 <= b <= a over the support of a; enumeration walks the box of
 candidate covers.  Neither materialises its box.
 
-Enumeration facts used by the search, both re-checked by the test suite
+Enumeration facts used by the search, all re-checked by the test suite
 against an unoptimized oracle:
 
 * an indecomposable k-cover with k >= 1 has entries <= k (capping an entry
-  at k peels off a nonzero 0-cover), and
+  at k peels off a nonzero 0-cover),
 * for k >= 1 it must be a minimal k-cover apart from unit vectors
   (otherwise subtract a unit 0-cover), i.e. every weighted vertex lies in
-  some facet whose sum is exactly k.
+  some facet whose sum is exactly k, and
+* facet sums only grow along the walk, so once every facet through a
+  weighted vertex sums above k that vertex can never become tight: the
+  walk stops raising the current vertex as soon as a facet crossing k + 1
+  strands it or an earlier weighted vertex of that facet.
 """
 
 from __future__ import annotations
@@ -78,15 +82,25 @@ def _facet_positions(cx: SimplicialComplex) -> list[tuple[int, ...]]:
     return [tuple(sorted(pos[v] for v in f)) for f in cx.facets]
 
 
+def _facets_at(fpos: list[tuple[int, ...]], n: int) -> list[list[int]]:
+    """Per vertex position, the indices of the facets through it."""
+    at: list[list[int]] = [[] for _ in range(n)]
+    for j, f in enumerate(fpos):
+        for p in f:
+            at[p].append(j)
+    return at
+
+
 def _check_vector(cx: SimplicialComplex, a: Sequence[int]) -> tuple[int, ...]:
-    vec = tuple(int(x) for x in a)
+    raw = tuple(a)
+    vec = tuple(int(x) for x in raw)
     if len(vec) != len(cx.active_vertices):
         raise LengthMismatchError(
             f"vector has {len(vec)} entries, the vertex universe has "
             f"{len(cx.active_vertices)}"
         )
-    if any(x < 0 for x in vec):
-        raise ValueError("cover vectors must be nonnegative")
+    if any(x != y or y < 0 for x, y in zip(raw, vec)):
+        raise ValueError("cover vectors must be nonnegative integers")
     return vec
 
 
@@ -106,7 +120,7 @@ def is_k_cover(cx: SimplicialComplex, a: Sequence[int], k: int) -> bool:
 
 
 def _lex_first_split(
-    a: tuple[int, ...], k: int, fpos: list[tuple[int, ...]]
+    a: tuple[int, ...], k: int, facets_at: list[list[int]], sums: list[int]
 ) -> Optional[tuple[int, ...]]:
     """Lexicographically first b with 0 < b < a splitting a at order k.
 
@@ -115,58 +129,66 @@ def _lex_first_split(
     An ordered DFS tries ascending values on the support of a (zero entries
     of b stay 0, which leaves the lexicographic order intact) and drops a
     prefix as soon as the order b can still reach plus the order a - b can
-    still keep falls below k.
+    still keep falls below k.  ``facets_at`` comes from :func:`_facets_at`
+    and ``sums`` holds a's facet sums.
+
+    Running minima: per facet j the walk keeps reach[j], b's weight on j
+    plus a's weight on j's open slots, and keep[j], the weight a - b keeps
+    on j.  Both only fall along a path, so a node updates the facets through
+    its vertex alone and hands min(reach) and min(keep), the two bounds,
+    down to its children.  At a leaf they are the orders of b and a - b.
+
+    Symmetric cut: the partner a - b of a valid b is valid too, so the
+    first valid b is lexicographically no later than a - b.  While b's
+    prefix equals the prefix of a - b, b[t] therefore stays at or below
+    a[t] // 2; the cut never drops the first hit.
+
+    Order floor: if b has order 0, a - b is a k-cover, and so is a - e_v
+    for any v with b[v] > 0: a unit at v could be peeled off.  Unless some
+    weighted vertex has every facet above k, both parts of a split thus
+    have order >= 1, and both bounds must stay >= 1.
     """
     sup = [t for t, x in enumerate(a) if x > 0]
-    m = len(fpos)
-    a_sums = [sum(a[p] for p in f) for f in fpos]
-    # suffix[j][i]: weight a puts on facet j from support slot i onwards
-    suffix = [[0] * (len(sup) + 1) for _ in range(m)]
-    for j, f in enumerate(fpos):
-        for i in range(len(sup) - 1, -1, -1):
-            suffix[j][i] = suffix[j][i + 1] + (a[sup[i]] if sup[i] in f else 0)
-    facets_at = [[j for j, f in enumerate(fpos) if t in f] for t in sup]
-    total = sum(a)
+    reach = list(sums)
+    keep = list(sums)
+    peelable = any(
+        x and all(sums[j] > k for j in facets_at[t]) for t, x in enumerate(a)
+    )
+    floor = 0 if peelable else 1
     b = [0] * len(a)
-    b_sums = [0] * m
 
-    def rec(i: int) -> Optional[tuple[int, ...]]:
+    def rec(i: int, lo_reach: int, lo_keep: int, tied: bool) -> Optional[tuple]:
         if i == len(sup):
-            return tuple(b) if 0 < sum(b) < total else None
+            # the cut keeps b lexicographically <= a - b, so b != a
+            return tuple(b) if any(b) else None
         t = sup[i]
-        for val in range(a[t] + 1):
-            b[t] = val
+        x = a[t]
+        at = facets_at[t]
+        top = x // 2 if tied else x
+        for j in at:
+            reach[j] -= x
+        # each unit of b[t] raises reach and lowers keep on the facets at t
+        low_reach = min([reach[j] for j in at])
+        low_keep = min([keep[j] for j in at])
+        for val in range(top + 1):
             if val:
-                for j in facets_at[i]:
-                    b_sums[j] += 1
-            ub_b = min(b_sums[j] + suffix[j][i + 1] for j in range(m))
-            ub_c = min(a_sums[j] - b_sums[j] for j in range(m))
-            if ub_b + ub_c >= k:
-                hit = rec(i + 1)
+                for j in at:
+                    reach[j] += 1
+                    keep[j] -= 1
+            b[t] = val
+            ub_b = min(lo_reach, low_reach + val)
+            ub_c = min(lo_keep, low_keep - val)
+            if ub_b + ub_c >= k and ub_b >= floor and ub_c >= floor:
+                hit = rec(i + 1, ub_b, ub_c, tied and val + val == x)
                 if hit is not None:
                     return hit
-        for j in facets_at[i]:
-            b_sums[j] -= a[t]
+        for j in at:
+            reach[j] += x - top
+            keep[j] += top
         b[t] = 0
         return None
 
-    return rec(0)
-
-
-def _splittable(a: tuple[int, ...], k: int, fpos: list[tuple[int, ...]]) -> bool:
-    """Decomposability decision only (no witness, cheap exits first)."""
-    if k == 0:
-        return sum(a) >= 2
-    if sum(a) < 2:
-        return False
-    a_sums = [sum(a[p] for p in f) for f in fpos]
-    # peel one unit off a vertex with slack in all of its facets
-    for i, x in enumerate(a):
-        if x > 0 and all(
-            a_sums[j] >= k + 1 for j, f in enumerate(fpos) if i in f
-        ):
-            return True
-    return _lex_first_split(a, k, fpos) is not None
+    return rec(0, min(reach), min(keep), True)
 
 
 def decompose_cover(
@@ -181,9 +203,10 @@ def decompose_cover(
     if k < 0:
         raise ValueError("cover order must be nonnegative")
     fpos = _facet_positions(cx)
-    if min(sum(vec[p] for p in f) for f in fpos) < k:
+    sums = [sum(vec[p] for p in f) for f in fpos]
+    if min(sums) < k:
         raise NotAKCoverError(f"{list(vec)} is not a {k}-cover")
-    b = _lex_first_split(vec, k, fpos)
+    b = _lex_first_split(vec, k, _facets_at(fpos, len(vec)), sums)
     if b is None:
         return None
     c = tuple(x - y for x, y in zip(vec, b))
@@ -198,49 +221,54 @@ def decompose_cover(
 def indecomposable_covers(cx: SimplicialComplex, k: int) -> list[CoverVector]:
     """All indecomposable k-covers, sorted lexicographically.
 
-    A vertex-order DFS tries ascending values up to k (up to 1 for k = 0),
-    so the candidates come out in lexicographic order.  It drops a prefix
-    once some facet cannot reach k even with every open vertex at the cap,
-    and for k >= 1 it stops raising a vertex once every facet through it is
-    above k, since such a vertex can lie in no tight facet.  Each minimal
-    k-cover reached (for k = 0, each nonzero vector) is decided exactly.
+    For k = 0 these are the unit vectors.  For k >= 1 a vertex-order DFS
+    tries ascending values up to k, so the candidates come out in
+    lexicographic order.  It drops a prefix once a facet whose vertices are
+    all set sums below k, and it stops raising a vertex once that leaves
+    some weighted vertex, this one or an earlier one, with every facet
+    through it above k.  Sums only grow, so such a vertex can lie in no
+    tight facet.  Every leaf is thus a minimal k-cover, and each is decided
+    exactly by :func:`_lex_first_split`.
     """
     if k < 0:
         raise ValueError("cover order must be nonnegative")
-    fpos = _facet_positions(cx)
     n = len(cx.active_vertices)
-    cap = 1 if k == 0 else k
-    facets_at = [[j for j, f in enumerate(fpos) if t in f] for t in range(n)]
-    open_count = [len(f) for f in fpos]
+    if k == 0:
+        units = [tuple(int(i == t) for i in range(n)) for t in reversed(range(n))]
+        return [CoverVector(u, 0) for u in units]
+    fpos = _facet_positions(cx)
+    facets_at = _facets_at(fpos, n)
+    # the facets whose last vertex is t must have reached k once t is set
+    closes = [[j for j in facets_at[t] if fpos[j][-1] == t] for t in range(n)]
     sums = [0] * len(fpos)
     a = [0] * n
     out: list[CoverVector] = []
 
+    def stranded(u: int) -> bool:
+        return a[u] > 0 and all(sums[j] > k for j in facets_at[u])
+
     def rec(t: int) -> None:
         if t == n:
-            if k >= 1 and any(
-                x and all(sums[j] != k for j in facets_at[i]) for i, x in enumerate(a)
-            ):
-                return
             cand = tuple(a)
-            if any(cand) and not _splittable(cand, k, fpos):
+            if _lex_first_split(cand, k, facets_at, sums) is None:
                 out.append(CoverVector(cand, k))
             return
         at = facets_at[t]
-        for j in at:
-            open_count[j] -= 1
-        for val in range(cap + 1):
+        for val in range(k + 1):
             a[t] = val
             if val:
                 for j in at:
                     sums[j] += 1
-                if k >= 1 and all(sums[j] > k for j in at):
+                # only a facet that just crossed k + 1 can strand an earlier vertex
+                crossed = [j for j in at if sums[j] == k + 1]
+                if stranded(t) or any(
+                    stranded(u) for j in crossed for u in fpos[j] if u < t
+                ):
                     break
-            if all(sums[j] + cap * open_count[j] >= k for j in at):
+            if all(sums[j] >= k for j in closes[t]):
                 rec(t + 1)
         for j in at:
             sums[j] -= a[t]
-            open_count[j] += 1
         a[t] = 0
 
     rec(0)

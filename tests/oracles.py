@@ -36,6 +36,20 @@ def oracle_is_decomposable(facets, universe, a, k) -> bool:
     return False
 
 
+def oracle_lex_first_split(facets, universe, a, k):
+    """First split summand b of the box scan in itertools.product order, or None."""
+    ranges = [range(x + 1) for x in a]
+    for b in itertools.product(*ranges):
+        if all(x == 0 for x in b) or tuple(b) == tuple(a):
+            continue
+        c = tuple(x - y for x, y in zip(a, b))
+        ob = oracle_cover_order(facets, universe, b)
+        oc = oracle_cover_order(facets, universe, c)
+        if ob + oc >= k:
+            return b
+    return None
+
+
 def oracle_indecomposable_covers(cx, k) -> list[tuple[int, ...]]:
     """Full box enumeration with entries <= max(k, 1); no minimality pruning."""
     facets = facet_sets(cx)

@@ -108,6 +108,14 @@ def test_covers_k0(capsys, delta3_file):
     assert report(out)["result"]["count"] == 6
 
 
+def test_covers_k0_on_wide_delta(capsys, tmp_path):
+    path = tmp_path / "d32.json"
+    path.write_text(to_json(delta_n(32)))
+    code, out = run(capsys, ["covers", str(path), "--k", "0"])
+    assert code == 0
+    assert report(out)["result"]["count"] == 64
+
+
 def test_dmax_reports_bound_disclaimer(capsys, delta3_file):
     code, out = run(capsys, ["dmax", delta3_file, "--k-max", "4"])
     assert code == 0

@@ -5,6 +5,7 @@ The heavy lifting is cross-checked against the unoptimized oracles in
 minimality, unit peels, DFS bounds) never goes unchecked.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,12 +33,14 @@ from qcover import (
     witness_cover_from_cycle,
 )
 from qcover.cycles import Cycle
-from qcover.families import delta_n, double_fan
+from qcover.families import GeneratorSeed, delta_n, double_fan, random_quasi_tree
 
 from oracles import (
     facet_sets,
+    oracle_cover_order,
     oracle_indecomposable_covers,
     oracle_is_decomposable,
+    oracle_lex_first_split,
 )
 
 D3 = delta_n(3)
@@ -59,6 +62,16 @@ def test_cover_order_validation():
         cover_order(D3, (1, 1))
     with pytest.raises(ValueError):
         cover_order(D3, (1, -1, 0, 0, 0, 0))
+
+
+def test_cover_vectors_must_be_integral():
+    # truncation would read these as (0,) * 6 and (1, 1, 1, 1, 0, 0)
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        cover_order(D3, (0.6, 0.6, 0.6, 0, 0, 0))
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        decompose_cover(D3, (1.9, 1, 1, 1, 0, 0), 2)
+    assert cover_order(D3, (True, True, True, False, False, False)) == 2
+    assert cover_order(D3, np.array([1, 1, 1, 0, 0, 0])) == 2
 
 
 def test_is_k_cover_examples():
@@ -140,6 +153,34 @@ def test_decompose_agrees_with_oracle(small_complex_corpus):
     assert cases > 500
 
 
+def test_decompose_returns_oracle_lex_first_split(small_complex_corpus):
+    import itertools
+
+    cases = 0
+    for cx in small_complex_corpus:
+        if len(cx.active_vertices) > 5:
+            continue
+        facets = facet_sets(cx)
+        universe = cx.active_vertices
+        n = len(universe)
+        for a in itertools.islice(
+            itertools.product(range(3), repeat=n), 0, None, 11
+        ):
+            order = cover_order(cx, a)
+            for k in sorted({order, max(order - 1, 0)}):
+                b = oracle_lex_first_split(facets, universe, a, k)
+                dec = decompose_cover(cx, a, k)
+                if b is None:
+                    assert dec is None, (sorted(map(sorted, facets)), a, k)
+                    continue
+                c = tuple(x - y for x, y in zip(a, b))
+                i = min(oracle_cover_order(facets, universe, b), k)
+                assert dec is not None, (sorted(map(sorted, facets)), a, k)
+                assert (dec.b, dec.c) == (CoverVector(b, i), CoverVector(c, k - i))
+                cases += 1
+    assert cases > 3000
+
+
 # --- enumeration ---------------------------------------------------------------
 
 
@@ -151,6 +192,14 @@ def test_single_facet_unit_covers():
 def test_delta_zero_covers_are_units():
     units = [tuple(1 if i == j else 0 for i in range(6)) for j in range(6)]
     assert [c.a for c in indecomposable_covers(D3, 0)] == sorted(units)
+
+
+def test_zero_covers_are_units_without_search():
+    # a walk over the 0/1 box would take 2^64 steps here
+    units = [tuple(int(i == t) for i in range(64)) for t in range(64)]
+    covers = indecomposable_covers(delta_n(32), 0)
+    assert [c.a for c in covers] == sorted(units)
+    assert all(c.k == 0 for c in covers)
 
 
 def test_delta_degree_two_generator_list():
@@ -206,6 +255,52 @@ def test_max_generator_degree_values():
     assert d == 1
     with pytest.raises(ValueError):
         max_generator_degree(D3, 0)
+
+
+# full dmax results with their certificates; no prune of the search may move them
+PINNED_DMAX = [
+    (delta_n(3), 4, 2, {1: (0, 0, 1, 0, 0, 1), 2: (1, 1, 1, 0, 0, 0)}),
+    (
+        delta_n(4),
+        5,
+        3,
+        {
+            1: (0, 0, 0, 1, 0, 0, 0, 1),
+            2: (0, 1, 1, 1, 0, 0, 0, 0),
+            3: (1, 1, 1, 1, 0, 0, 0, 0),
+        },
+    ),
+    (double_fan(), 4, 1, {1: (0, 0, 1, 1, 1, 0, 0)}),
+    (
+        delta_n(5),
+        4,
+        4,
+        {
+            1: (0, 0, 0, 0, 1, 0, 0, 0, 0, 1),
+            2: (0, 0, 1, 1, 1, 0, 0, 0, 0, 0),
+            3: (0, 1, 1, 1, 1, 0, 0, 0, 0, 0),
+            4: (1, 1, 1, 1, 1, 0, 0, 0, 0, 0),
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("cx, k_max, d, certs", PINNED_DMAX)
+def test_max_generator_degree_is_pinned(cx, k_max, d, certs):
+    want = {k: CoverVector(a, k) for k, a in certs.items()}
+    assert max_generator_degree(cx, k_max) == (d, want)
+
+
+def test_enumeration_counts_are_pinned():
+    assert [len(indecomposable_covers(delta_n(4), k)) for k in (1, 2, 3, 4)] == [
+        10,
+        4,
+        1,
+        0,
+    ]
+    tree14 = random_quasi_tree(GeneratorSeed(3, 10, 3))
+    assert len(tree14.active_vertices) == 14
+    assert indecomposable_covers(tree14, 2) == []
 
 
 # --- leaf extension ----------------------------------------------------------------
