@@ -9,12 +9,7 @@ test suite.
 
 __version__ = "0.1.0"
 
-from .complexes import (
-    MAX_VERTICES,
-    SimplicialComplex,
-    new_complex,
-    smd,
-)
+from .complexes import MAX_VERTICES, SimplicialComplex, new_complex, smd
 from .covers import (
     CoverVector,
     Decomposition,
@@ -59,13 +54,7 @@ from .errors import (
     VerificationFailedError,
 )
 from .families import GeneratorSeed, delta_n, double_fan, random_quasi_tree
-from .fileio import (
-    complex_digest,
-    load_complex,
-    parse_facets,
-    to_json,
-    to_text,
-)
+from .fileio import complex_digest, load_complex, parse_facets, to_json, to_text
 from .gradedness import (
     CrossValidation,
     Verdict,

@@ -35,8 +35,7 @@ against an unoptimized oracle:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .complexes import SimplicialComplex, smd
 from .cycles import Cycle, is_cycle, is_special_cycle
@@ -58,8 +57,7 @@ from .quasiforest import (
     peel_leaves,
 )
 
-@dataclass(frozen=True)
-class CoverVector:
+class CoverVector(NamedTuple):
     """Weight vector with a declared order k (the pair behind x^a t^k)."""
 
     a: tuple[int, ...]
@@ -69,8 +67,7 @@ class CoverVector:
         return {"a": list(self.a), "k": self.k}
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """A witnessing split a = b.a + c.a with b.k + c.k = k."""
 
     b: CoverVector

@@ -21,8 +21,7 @@ aborts loudly instead of truncating silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .complexes import SimplicialComplex
 from .errors import (
@@ -35,8 +34,7 @@ from .errors import (
 DEFAULT_CYCLE_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(NamedTuple):
     """Alternating vertex/facet cycle; facets are 1-based facet ids."""
 
     vertices: tuple[int, ...]
@@ -51,19 +49,12 @@ class Cycle:
 
     def rotated(self, shift: int) -> "Cycle":
         k = shift % self.s
-        return Cycle(
-            self.vertices[k:] + self.vertices[:k],
-            self.facets[k:] + self.facets[:k],
-        )
+        return Cycle(*(seq[k:] + seq[:k] for seq in self))
 
     def reversed_(self) -> "Cycle":
         """Same closed walk in the opposite direction."""
         v = self.vertices
-        f = self.facets
-        return Cycle(
-            (v[0],) + tuple(reversed(v[1:])),
-            tuple(reversed(f)),
-        )
+        return Cycle((v[0],) + tuple(reversed(v[1:])), tuple(reversed(self.facets)))
 
     def to_dict(self) -> dict:
         return {"vertices": list(self.vertices), "facets": list(self.facets)}
@@ -101,10 +92,7 @@ def is_special_cycle(cx: SimplicialComplex, cycle: Cycle) -> bool:
     if not is_cycle(cx, cycle.vertices, cycle.facets):
         raise NotACycleError(f"{cycle} is not a cycle of the complex")
     vset = set(cycle.vertices)
-    for fid in cycle.facets:
-        if len(cx.facet(fid) & vset) > 2:
-            return False
-    return True
+    return all(len(cx.facet(fid) & vset) <= 2 for fid in cycle.facets)
 
 
 def _canonical_closure_ok(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 from .complexes import SimplicialComplex, new_complex
 from .errors import NTooSmallError
@@ -36,24 +36,36 @@ def double_fan() -> SimplicialComplex:
     return new_complex([{1, 2, 3}, {1, 2, 4}, {1, 2, 5}, {2, 3, 6}, {2, 3, 7}])
 
 
-@dataclass(frozen=True)
-class GeneratorSeed:
-    """Deterministic parameters for :func:`random_quasi_tree`."""
+class _GeneratorSeedFields(NamedTuple):
+    """GeneratorSeed's fields; a NamedTuple body may not define ``__new__``."""
 
     seed: int
     num_facets: int
     max_facet_size: int
 
-    def __post_init__(self) -> None:
-        if self.num_facets < 1:
+
+class GeneratorSeed(_GeneratorSeedFields):
+    """Deterministic parameters for :func:`random_quasi_tree`, checked when built."""
+
+    __slots__ = ()
+
+    def __new__(cls, seed: int, num_facets: int, max_facet_size: int) -> GeneratorSeed:
+        if not isinstance(seed, int) or seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+        if num_facets < 1:
             raise ValueError("num_facets must be at least 1")
-        if self.max_facet_size < 1:
+        if max_facet_size < 1:
             raise ValueError("max_facet_size must be at least 1")
-        if self.num_facets > 1 and self.max_facet_size < 2:
+        if num_facets > 1 and max_facet_size < 2:
             raise ValueError(
                 "size-1 facets cannot attach to each other; "
                 "num_facets > 1 needs max_facet_size >= 2"
             )
+        return super().__new__(cls, seed, num_facets, max_facet_size)
+
+    @classmethod
+    def _make(cls, fields: Iterable[int]) -> GeneratorSeed:
+        return cls(*fields)  # _replace builds through _make, so it checks too
 
 
 def random_quasi_tree(g: GeneratorSeed) -> SimplicialComplex:

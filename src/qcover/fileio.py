@@ -24,7 +24,9 @@ from .errors import InputFormatError
 def parse_facets_json(text: str) -> list[list[int]]:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except RecursionError:
+        raise InputFormatError("JSON nesting too deep") from None
+    except ValueError as exc:  # a decode error, or an integer too long to convert
         raise InputFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "facets" not in doc:
         raise InputFormatError('JSON input must be an object with a "facets" key')
@@ -55,8 +57,10 @@ def parse_facets_text(text: str) -> list[list[int]]:
             try:
                 row.append(int(tok))
             except ValueError:
+                more = f"... ({len(tok)} characters)" if len(tok) > 20 else ""
                 raise InputFormatError(
-                    f"line {lineno}: {tok!r} is not an integer vertex label"
+                    f"line {lineno}: {tok[:20]!r}{more} cannot be read as an integer "
+                    "vertex label"
                 ) from None
         out.append(row)
     return out

@@ -12,8 +12,7 @@ answers are bound-limited.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .complexes import SimplicialComplex, smd
 from .covers import CoverVector, indecomposable_covers, witness_cover_from_cycle
@@ -28,8 +27,7 @@ from .quasiforest import (
 )
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Decision plus witnesses.
 
     ``method`` records which route produced the answer.  A negative verdict
@@ -106,14 +104,23 @@ def brute_force_verdict(cx: SimplicialComplex, k_max: int) -> Verdict:
     return Verdict(standard_graded=True, method="brute_force", bound_used=k_max)
 
 
-@dataclass(frozen=True)
-class CrossValidation:
-    """Agreement report between the criterion and the brute force."""
+class CrossValidation(NamedTuple):
+    """Agreement report of the two routes; equality ignores ``smd_sweep``."""
 
     agree: bool
     criterion: Verdict
     brute_force: Verdict
-    smd_sweep: Optional[list[dict]] = field(default=None, compare=False)
+    smd_sweep: Optional[list[dict]] = None
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:3] == other[:3]
+
+    __ne__ = object.__ne__  # not tuple's, which would compare smd_sweep too
+
+    def __hash__(self) -> int:
+        return hash(self[:3])
 
     def to_dict(self) -> dict:
         out = {

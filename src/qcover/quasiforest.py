@@ -27,8 +27,7 @@ branch rules give different trees; every one of them is a tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Collection, Iterable, Iterator, Optional
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional
 
 from .complexes import SimplicialComplex
 from .errors import (
@@ -52,6 +51,8 @@ def max_branch_rule(leaf: int, branches: tuple[int, ...]) -> int:
 
 def random_branch_rule(seed: int) -> BranchRule:
     """Seed-stable branch rule (PCG64); same seed, same choices."""
+    if not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     import numpy as np
 
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -176,18 +177,30 @@ def is_quasi_tree(cx: SimplicialComplex) -> bool:
 # --- relation trees --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RelationTree:
+class RelationTree(NamedTuple):
     """Tree on facet ids with the chosen-branch map.
 
     ``branch`` points every non-root node to the branch it was glued to;
     the root points to itself.  ``edges`` are sorted (lo, hi) pairs.
+    Equality and hash leave ``branch`` out.
     """
 
     nodes: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
-    branch: dict[int, int] = field(compare=False)
+    branch: dict[int, int]
     root: int = 0
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.nodes, self.edges, self.root) == (
+            other.nodes, other.edges, other.root
+        )
+
+    __ne__ = object.__ne__  # not tuple's, which would compare branch too
+
+    def __hash__(self) -> int:
+        return hash((self.nodes, self.edges, self.root))
 
     def degree(self, fid: int) -> int:
         if fid not in self.branch:

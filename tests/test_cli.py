@@ -83,6 +83,52 @@ def test_check_malformed_input(capsys, tmp_path):
         capsys.readouterr()
 
 
+# file name -> (bytes, part of the one error line); every case must exit 2
+BAD_INPUTS = {
+    "deep.json": (
+        b'{"facets": ' + b"[" * 1100 + b"]" * 1100 + b"}",
+        "JSON nesting too deep",
+    ),
+    "long.txt": (
+        b"1 2\n2 " + b"7" * 5000 + b"\n",
+        "line 2: '77777777777777777777'... (5000 characters) cannot be read as an "
+        "integer vertex label",
+    ),
+    "long.json": (b'{"facets": [[1, ' + b"7" * 5000 + b"]]}", "invalid JSON: "),
+    "zero.txt": (b"0 1\n1 2\n", "vertex labels must be positive integers"),
+    "negative.json": (
+        b'{"facets": [[1, -2], [2, 3]]}',
+        "vertex labels must be positive integers",
+    ),
+    "float.json": (b'{"facets": [[1, 2.5]]}', "labels must be integers"),
+    "float.txt": (b"1 2.5\n", "'2.5' cannot be read as an integer vertex label"),
+    "not-utf8.txt": (b"1 2\n\xff\xfe\n", "can't decode byte 0xff"),
+    "empty.txt": (b"", "empty input"),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_INPUTS))
+def test_check_bad_input_exits_2_with_one_error_line(capsys, tmp_path, name):
+    data, expected = BAD_INPUTS[name]
+    path = tmp_path / name
+    path.write_bytes(data)
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert expected in lines[0] and len(lines[0]) < 200
+
+
+@pytest.mark.parametrize("command", ["gen", "verify"])
+def test_negative_seed_exits_2(capsys, delta3_file, command):
+    argv = {"gen": ["gen", "random", "--facets", "3"], "verify": ["verify", delta3_file]}
+    assert main(argv[command] + ["--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be a nonnegative integer, got -1\n"
+
+
 def test_reports_are_reproducible(capsys, delta3_file):
     _, first = run(capsys, ["check", delta3_file])
     _, second = run(capsys, ["check", delta3_file])
@@ -192,3 +238,15 @@ def test_cli_import_leaves_numpy_unloaded():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "False"
+
+
+def test_import_loads_no_dataclasses_inspect_or_numpy():
+    env = {**os.environ, "PYTHONPATH": str(Path(qcover.__file__).parents[1])}
+    probe = (
+        "import sys, qcover, qcover.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'numpy'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"

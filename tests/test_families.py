@@ -8,6 +8,7 @@ from qcover import (
     is_quasi_tree,
     is_special_cycle,
     leaf_order,
+    random_branch_rule,
     validate_leaf_order,
 )
 from qcover.cycles import Cycle
@@ -84,6 +85,14 @@ def test_generator_seed_validation():
         GeneratorSeed(0, 0, 3)
     with pytest.raises(ValueError):
         GeneratorSeed(0, 2, 1)
+    for bad in (-1, -(2**70), 1.5, None):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            GeneratorSeed(bad, 3, 3)
+    with pytest.raises(ValueError, match="got -1$"):
+        random_branch_rule(-1)
+    with pytest.raises(ValueError, match="num_facets must be at least 1"):
+        GeneratorSeed(0, 2, 3)._replace(num_facets=0)
+    assert GeneratorSeed(0, 2, 3)._replace(seed=4) == GeneratorSeed(4, 2, 3)
     assert random_quasi_tree(GeneratorSeed(0, 1, 1)).facets == (frozenset({1}),)
 
 
