@@ -24,12 +24,10 @@ from pathlib import Path
 
 from . import __version__
 from .complexes import SimplicialComplex
-from .covers import indecomposable_covers, max_generator_degree
 from .cycles import DEFAULT_CYCLE_BUDGET
-from .errors import NotQuasiTreeError, QcoverError
-from .families import GeneratorSeed, delta_n, double_fan, random_quasi_tree
+from .errors import NotQuasiTreeError, QcoverError, echo
 from .fileio import complex_digest, load_complex, to_json, to_text
-from .gradedness import brute_force_verdict, cross_validate, is_standard_graded
+from .gradedness import cross_validate, is_standard_graded
 from .quasiforest import (
     is_quasi_tree,
     leaf_order,
@@ -101,6 +99,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_covers(args: argparse.Namespace) -> int:
+    from .covers import indecomposable_covers
+
     t0 = time.monotonic()
     cx = load_complex(args.path)
     covers = indecomposable_covers(cx, args.k)
@@ -116,6 +116,8 @@ def cmd_covers(args: argparse.Namespace) -> int:
 
 
 def cmd_dmax(args: argparse.Namespace) -> int:
+    from .covers import max_generator_degree
+
     t0 = time.monotonic()
     cx = load_complex(args.path)
     d, certs = max_generator_degree(cx, args.k_max)
@@ -161,6 +163,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from .families import GeneratorSeed, delta_n, double_fan, random_quasi_tree
+
     if args.family == "delta-n":
         cx = delta_n(args.n)
     elif args.family == "double-fan":
@@ -183,7 +187,7 @@ def cmd_dot(args: argparse.Namespace) -> int:
             order = [int(tok) for tok in args.order.split(",")]
         except ValueError:
             raise QcoverError(
-                f"--order must be comma-separated facet ids, got {args.order!r}"
+                f"--order must be comma-separated facet ids, got {echo(args.order)}"
             ) from None
     else:
         order = leaf_order(cx)

@@ -30,6 +30,7 @@ from .errors import (
     TooManyVerticesError,
     UncoveredVertexError,
     UnknownFacetIdError,
+    echo,
 )
 
 MAX_VERTICES = 64
@@ -80,7 +81,7 @@ class SimplicialComplex:
             for v in fs:
                 if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                     raise ValueError(
-                        f"facet #{idx + 1} contains {v!r}; vertex labels must be "
+                        f"facet #{idx + 1} contains {echo(v)}; vertex labels must be "
                         "positive integers"
                     )
             if fs in seen:
@@ -99,7 +100,7 @@ class SimplicialComplex:
         n = max(max(f) for f in cleaned)
         if n > MAX_VERTICES:
             raise TooManyVerticesError(
-                f"{n} vertex labels; the engine supports at most {MAX_VERTICES}"
+                f"{echo(n)} vertex labels; the engine supports at most {MAX_VERTICES}"
             )
         covered = frozenset().union(*cleaned)
         missing = [v for v in range(1, n + 1) if v not in covered]

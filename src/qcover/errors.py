@@ -5,6 +5,20 @@ CLI) can distinguish domain failures from programming errors.
 """
 
 
+def echo(value: object) -> str:
+    """``repr(value)`` for an error line, cut after 20 characters.
+
+    A cut shows the first 20 characters (of a string before its ``repr``,
+    of anything else after it) and the full length, so a message stays one
+    short line however long the input that it quotes.
+    """
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= 20:
+        return repr(value)
+    head = repr(text[:20]) if isinstance(value, str) else text[:20]
+    return f"{head}... ({len(text)} characters)"
+
+
 class QcoverError(Exception):
     """Base class for all qcover errors."""
 

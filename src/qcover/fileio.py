@@ -12,13 +12,21 @@ equivalent input to identical bytes.
 
 from __future__ import annotations
 
-import hashlib
 import json
+import sys
 from pathlib import Path
 from typing import Union
 
 from .complexes import SimplicialComplex, new_complex
-from .errors import InputFormatError
+from .errors import InputFormatError, echo
+
+try:  # the builtin SHA-256 spares loading OpenSSL for one digest per call
+    if sys.version_info >= (3, 12):
+        from _sha2 import sha256
+    else:
+        from _sha256 import sha256
+except ImportError:  # an interpreter built without the builtin hashes
+    from hashlib import sha256
 
 
 def parse_facets_json(text: str) -> list[list[int]]:
@@ -40,7 +48,7 @@ def parse_facets_json(text: str) -> list[list[int]]:
         for v in f:
             if not isinstance(v, int) or isinstance(v, bool):
                 raise InputFormatError(
-                    f'"facets"[{idx}] contains {v!r}; labels must be integers'
+                    f'"facets"[{idx}] contains {echo(v)}; labels must be integers'
                 )
         out.append(list(f))
     return out
@@ -57,10 +65,9 @@ def parse_facets_text(text: str) -> list[list[int]]:
             try:
                 row.append(int(tok))
             except ValueError:
-                more = f"... ({len(tok)} characters)" if len(tok) > 20 else ""
                 raise InputFormatError(
-                    f"line {lineno}: {tok[:20]!r}{more} cannot be read as an integer "
-                    "vertex label"
+                    f"line {lineno}: {echo(tok)} cannot be read as an integer vertex "
+                    "label"
                 ) from None
         out.append(row)
     return out
@@ -92,4 +99,4 @@ def to_text(cx: SimplicialComplex) -> str:
 
 def complex_digest(cx: SimplicialComplex) -> str:
     """SHA-256 of the canonical JSON form; stable across input orderings."""
-    return hashlib.sha256(to_json(cx).encode("utf-8")).hexdigest()
+    return sha256(to_json(cx).encode("utf-8")).hexdigest()

@@ -12,10 +12,9 @@ answers are bound-limited.
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .complexes import SimplicialComplex, smd
-from .covers import CoverVector, indecomposable_covers, witness_cover_from_cycle
 from .cycles import Cycle, find_special_odd_cycle, DEFAULT_CYCLE_BUDGET
 from .errors import NotQuasiTreeError
 from .quasiforest import (
@@ -25,6 +24,9 @@ from .quasiforest import (
     min_branch_rule,
     relation_tree,
 )
+
+if TYPE_CHECKING:  # covers loads on first use: only witnesses and enumeration need it
+    from .covers import CoverVector
 
 
 class Verdict(NamedTuple):
@@ -72,6 +74,8 @@ def is_standard_graded(
     cyc = find_special_odd_cycle(cx, budget=budget)
     if cyc is None:
         return Verdict(standard_graded=True, method="criterion")
+    from .covers import witness_cover_from_cycle
+
     order = leaf_order(cx)
     tree = relation_tree(cx, order, branch_rule)
     cover = witness_cover_from_cycle(cx, tree, cyc)
@@ -92,6 +96,8 @@ def brute_force_verdict(cx: SimplicialComplex, k_max: int) -> Verdict:
     """
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
+    from .covers import indecomposable_covers
+
     for k in range(2, k_max + 1):
         found = indecomposable_covers(cx, k)
         if found:
@@ -157,6 +163,8 @@ def cross_validate(
     brute = brute_force_verdict(cx, k_max)
     sweep = None
     if sweep_smds:
+        from .covers import indecomposable_covers
+
         sweep = []
         ids = list(cx.facet_ids)
         for r in range(1, len(ids) + 1):

@@ -3,12 +3,10 @@
 import json
 import os
 import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import qcover
 from qcover import new_complex
 from qcover.cli import main
 from qcover.families import delta_n, double_fan
@@ -104,7 +102,30 @@ BAD_INPUTS = {
     "float.txt": (b"1 2.5\n", "'2.5' cannot be read as an integer vertex label"),
     "not-utf8.txt": (b"1 2\n\xff\xfe\n", "can't decode byte 0xff"),
     "empty.txt": (b"", "empty input"),
+    "many-vertices.txt": (
+        b"1 " + b"7" * 4000 + b"\n",
+        "77777777777777777777... (4000 characters) vertex labels; the engine "
+        "supports at most 64",
+    ),
+    "long-negative.txt": (
+        b"1 -" + b"7" * 4000 + b"\n",
+        "facet #1 contains -7777777777777777777... (4001 characters); vertex labels",
+    ),
+    "long-string.json": (
+        b'{"facets": [[1, "' + b"x" * 5000 + b'"]]}',
+        "\"facets\"[0] contains 'xxxxxxxxxxxxxxxxxxxx'... (5000 characters); labels "
+        "must be integers",
+    ),
 }
+
+
+def assert_one_error_line(capsys, argv, expected):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert expected in lines[0] and len(lines[0]) < 200
 
 
 @pytest.mark.parametrize("name", list(BAD_INPUTS))
@@ -112,12 +133,12 @@ def test_check_bad_input_exits_2_with_one_error_line(capsys, tmp_path, name):
     data, expected = BAD_INPUTS[name]
     path = tmp_path / name
     path.write_bytes(data)
-    assert main(["check", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
-    assert expected in lines[0] and len(lines[0]) < 200
+    assert_one_error_line(capsys, ["check", str(path)], expected)
+
+
+def test_dot_long_order_exits_2_with_one_error_line(capsys, fan_file):
+    expected = "got '77777777777777777777'... (5000 characters)"
+    assert_one_error_line(capsys, ["dot", fan_file, "--order", "7" * 5000], expected)
 
 
 @pytest.mark.parametrize("command", ["gen", "verify"])
@@ -231,22 +252,89 @@ def test_budget_env_override(capsys, delta3_file, monkeypatch):
     assert "QCOVER_BUDGET must be a nonnegative integer, got '-1'" in err
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    env = {**os.environ, "PYTHONPATH": str(Path(qcover.__file__).parents[1])}
+def test_cli_import_leaves_numpy_unloaded(fresh_python):
     probe = "import sys, qcover.cli; print('numpy' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    ).stdout
+    out = fresh_python(["-c", probe], check=True).stdout
     assert out.strip() == "False"
 
 
-def test_import_loads_no_dataclasses_inspect_or_numpy():
-    env = {**os.environ, "PYTHONPATH": str(Path(qcover.__file__).parents[1])}
+def test_import_loads_no_dataclasses_inspect_or_numpy(fresh_python):
     probe = (
         "import sys, qcover, qcover.cli; "
         "print(sorted({'dataclasses', 'inspect', 'numpy'} & set(sys.modules)))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    ).stdout
+    out = fresh_python(["-c", probe], check=True).stdout
     assert out.strip() == "[]"
+
+
+def without_timing(out):
+    return [line for line in out.splitlines() if not line.startswith('  "timing_ms": ')]
+
+
+# modules a check loads only when its verdict needs them
+LAZY = ("qcover.covers", "qcover.families", "_hashlib")
+# input -> (exit code, which of LAZY the check loads)
+LEAN_CASES = {
+    "delta3": (lambda: delta_n(3), 10, ["qcover.covers"]),
+    "double-fan": (double_fan, 0, []),
+    "antichain": (lambda: new_complex([[1, 2], [2, 3], [1, 3]]), 11, []),
+}
+
+
+@pytest.mark.parametrize("name", list(LEAN_CASES))
+def test_check_loads_only_what_its_verdict_needs(fresh_python, tmp_path, name):
+    build, code, loaded = LEAN_CASES[name]
+    path = tmp_path / "cx.json"
+    path.write_text(to_json(build()))
+    probe = (
+        "import sys; from qcover.cli import main; code = main(['check', sys.argv[1]]); "
+        f"print(code, sorted(set({LAZY!r}) & set(sys.modules)), file=sys.stderr)"
+    )
+    proc = fresh_python(["-c", probe, str(path)])
+    assert proc.stderr == f"{code} {loaded}\n"
+
+
+def _runnable(name):
+    """The first ``name`` on PATH that starts, or None."""
+    for folder in os.environ.get("PATH", "").split(os.pathsep):
+        exe = str(Path(folder) / name)
+        if os.access(exe, os.X_OK) and Path(exe).is_file():
+            if subprocess.run([exe, "-c", "pass"], capture_output=True).returncode == 0:
+                return exe
+    return None
+
+
+@pytest.mark.parametrize("name", ["python3.10", "python3.12", "python3.13"])
+def test_check_report_is_the_same_on_other_interpreters(
+    capsys, fresh_python, delta3_file, fan_file, name
+):
+    python = _runnable(name)
+    if python is None:
+        pytest.skip(f"no runnable {name} on PATH")
+    for path in (delta3_file, fan_file):
+        code, out = run(capsys, ["check", path])
+        proc = fresh_python(["-m", "qcover.cli", "check", path], python=python)
+        assert (proc.returncode, proc.stderr) == (code, "")
+        assert without_timing(proc.stdout) == without_timing(out)
+
+
+FRESH_COMMANDS = {
+    "covers": ["covers", "D3", "--k", "2"],
+    "dmax": ["dmax", "D3", "--k-max", "3"],
+    "verify-sweep": ["verify", "D3", "--k-max", "2", "--sweep-smds"],
+    "gen-delta-n": ["gen", "delta-n", "--n", "3"],
+    "gen-double-fan": ["gen", "double-fan", "--format", "text"],
+    "gen-random": ["gen", "random", "--seed", "7", "--facets", "5"],
+    "dot": ["dot", "D3"],
+}
+
+
+@pytest.mark.parametrize("name", list(FRESH_COMMANDS))
+def test_every_command_runs_in_a_fresh_interpreter(
+    capsys, fresh_python, delta3_file, tmp_path, name
+):
+    argv = [delta3_file if a == "D3" else a for a in FRESH_COMMANDS[name]]
+    code, out = run(capsys, argv)
+    proc = fresh_python(["-m", "qcover.cli", *argv], cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (code, "") == (0, "")
+    assert without_timing(proc.stdout) == without_timing(out)

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from qcover import InputFormatError, new_complex
@@ -63,3 +66,22 @@ def test_text_allows_comments_and_blanks():
 def test_parse_diagnostics(text):
     with pytest.raises(InputFormatError):
         parse_facets(text)
+
+
+def test_digest_without_builtin_sha256_falls_back_to_hashlib(
+    fresh_python, small_complex_corpus
+):
+    """Hiding the builtin SHA-256 modules selects hashlib's, with equal digests."""
+    facets = [[sorted(f) for f in cx.facets] for cx in small_complex_corpus]
+    probe = (
+        "import hashlib, json, sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from qcover import fileio, new_complex\n"
+        "assert fileio.sha256 is hashlib.sha256\n"
+        "for f in json.load(sys.stdin): print(fileio.complex_digest(new_complex(f)))\n"
+    )
+    out = fresh_python(["-c", probe], input=json.dumps(facets), check=True).stdout
+    digests = [complex_digest(cx) for cx in small_complex_corpus]
+    assert out.split() == digests
+    first = to_json(small_complex_corpus[0]).encode()
+    assert digests[0] == hashlib.sha256(first).hexdigest()

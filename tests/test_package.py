@@ -1,0 +1,94 @@
+"""The package namespace: lazy public names with the same surface as eager ones."""
+
+import importlib
+import json
+
+import pytest
+
+import qcover
+
+# The public names of ``dir(qcover)``, by the submodule that defines them,
+# recorded when ``qcover/__init__.py`` still imported every submodule.
+PUBLIC = {
+    "complexes": ["MAX_VERTICES", "SimplicialComplex", "new_complex", "smd"],
+    "covers": [
+        "CoverVector", "Decomposition", "cover_order", "decompose_cover",
+        "extend_cover_by_leaf", "indecomposable_covers", "is_k_cover",
+        "max_generator_degree", "witness_cover_from_cycle",
+    ],
+    "cycles": [
+        "Cycle", "DEFAULT_CYCLE_BUDGET", "enumerate_cycles",
+        "find_special_odd_cycle", "is_cycle", "is_special_cycle",
+    ],
+    "errors": [
+        "AntichainViolationError", "BudgetExceededError", "DuplicateFacetError",
+        "EmptyFacetError", "EmptySelectionError", "InputFormatError",
+        "InvalidLeafOrderError", "LengthMismatchError", "NTooSmallError",
+        "NoFreeVertexError", "NotACycleError", "NotAKCoverError", "NotALeafError",
+        "NotAPermutationError", "NotQuasiTreeError", "NotSpecialOddCycleError",
+        "QcoverError", "TooManyVerticesError", "UncoveredVertexError",
+        "UnknownFacetIdError", "UnknownNodeError", "VerificationFailedError",
+    ],
+    "families": ["GeneratorSeed", "delta_n", "double_fan", "random_quasi_tree"],
+    "fileio": ["complex_digest", "load_complex", "parse_facets", "to_json", "to_text"],
+    "gradedness": [
+        "CrossValidation", "Verdict", "brute_force_verdict", "cross_validate",
+        "is_standard_graded",
+    ],
+    "quasiforest": [
+        "RelationTree", "branches_of", "find_leaf", "free_vertices",
+        "is_branch_ancestor", "is_leaf", "is_quasi_forest", "is_quasi_tree",
+        "leaf_order", "max_branch_rule", "min_branch_rule", "minimal_subtree",
+        "random_branch_rule", "relation_tree", "relation_tree_dot",
+        "validate_leaf_order",
+    ],
+}
+ALL_PUBLIC = sorted([*PUBLIC, *(name for names in PUBLIC.values() for name in names)])
+
+
+def test_all_is_the_recorded_list():
+    assert qcover.__all__ == ALL_PUBLIC
+    assert set(ALL_PUBLIC) <= set(dir(qcover))
+
+
+@pytest.mark.parametrize("mod", list(PUBLIC))
+def test_each_name_is_its_submodule_object(mod):
+    module = importlib.import_module(f"qcover.{mod}")
+    assert getattr(qcover, mod) is module
+    for name in PUBLIC[mod]:
+        assert getattr(qcover, name) is getattr(module, name), name
+
+
+def test_bare_import_lists_every_name_and_loads_no_submodule(fresh_python):
+    probe = (
+        "import json, sys, qcover; names = dir(qcover); "
+        "print(json.dumps([names, sorted(m for m in sys.modules if 'qcover' in m)]))"
+    )
+    out = fresh_python(["-c", probe], check=True).stdout
+    names, loaded = json.loads(out)
+    assert [n for n in names if not n.startswith("_")] == ALL_PUBLIC
+    assert loaded == ["qcover"]
+
+
+def test_star_import_binds_every_name():
+    namespace: dict = {}
+    exec("from qcover import *", namespace)
+    assert set(ALL_PUBLIC) <= set(namespace)
+    assert namespace["is_standard_graded"] is qcover.gradedness.is_standard_graded
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qcover.no_such_name
+    assert not hasattr(qcover, "no_such_name")
+    with pytest.raises(ImportError):
+        exec("from qcover import no_such_name", {})
+
+
+def test_submodules_are_reachable_with_and_without_their_import(fresh_python):
+    probe = (
+        "import qcover.covers; print(qcover.covers.cover_order.__module__); "
+        "import qcover as q; print(q.families.delta_n(3).vertex_count)"
+    )
+    out = fresh_python(["-c", probe], check=True).stdout
+    assert out.split() == ["qcover.covers", "6"]
