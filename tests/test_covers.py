@@ -5,6 +5,9 @@ The heavy lifting is cross-checked against the unoptimized oracles in
 minimality, unit peels, DFS bounds) never goes unchecked.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +26,7 @@ from qcover import (
     extend_cover_by_leaf,
     find_special_odd_cycle,
     indecomposable_covers,
+    is_standard_graded,
     is_k_cover,
     is_leaf,
     leaf_order,
@@ -412,3 +416,21 @@ def test_witness_input_validation():
         witness_cover_from_cycle(D3, tree, Cycle((1, 2), (1, 2)))
     with pytest.raises(NotSpecialOddCycleError):
         witness_cover_from_cycle(D3, tree, Cycle((1, 2, 3), (1, 4, 3)))
+
+
+def test_witnesses_match_golden():
+    # every exit-10 input of the check universe: the quasi-tree draws
+    # rqt:s = GeneratorSeed(s, 6 + s % 30, 2 + s % 7) for s < 3000 (over-64-vertex
+    # draws left out) and delta:n = delta_n(n) for n in 3..32, with the
+    # witnesses the criterion gave when the golden was recorded
+    golden = json.loads((Path(__file__).parent / "golden" / "witnesses.json").read_text())
+    assert len(golden) == 253
+    for key, want in golden.items():
+        kind, n = key.split(":")
+        n = int(n)
+        if kind == "rqt":
+            cx = random_quasi_tree(GeneratorSeed(n, 6 + n % 30, 2 + n % 7))
+        else:
+            cx = delta_n(n)
+        got = is_standard_graded(cx).to_dict()
+        assert {f: got[f] for f in want} == want, key
