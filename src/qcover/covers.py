@@ -10,7 +10,10 @@ generator degree from below degree by degree.
 
 Vectors here are plain tuples aligned with the active vertex universe of
 whichever complex or subcomplex they belong to (sorted original labels, so
-subcomplex vectors embed into the parent by label).
+subcomplex vectors embed into the parent by label).  The cycle witness is
+built on label weights and facet masks alone: one detachment peel gives the
+re-attach order, and a facet's private vertices are those that no facet
+attached before it covers.
 
 One search shape serves both questions: an ordered depth-first walk over
 the coordinates that tries ascending values, so the first hit and the
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
-from .complexes import SimplicialComplex, smd
+from .complexes import SimplicialComplex
 from .cycles import Cycle, is_cycle, is_special_cycle
 from .errors import (
     LengthMismatchError,
@@ -50,7 +53,6 @@ from .errors import (
 )
 from .quasiforest import (
     RelationTree,
-    free_vertices,
     is_leaf,
     is_quasi_tree,
     minimal_subtree,
@@ -296,6 +298,27 @@ def max_generator_degree(
 # --- leaf extension and the cycle witness -------------------------------------
 
 
+def _extend(weight: dict, cx: SimplicialComplex, base, leaves, k: int) -> CoverVector:
+    """Extend label weights on the base facets across leaves attached in turn.
+
+    Each leaf's lowest private label, one that no facet attached before the
+    leaf covers, gets the deficit max(0, k - w), w the weight on the leaf.
+    """
+    covered = 0
+    for fid in base:
+        covered |= cx.mask(fid)
+    for leaf in leaves:
+        private = cx.mask(leaf) & ~covered
+        if not private:
+            raise NoFreeVertexError(
+                f"leaf {leaf} has no private vertex; the facet antichain is broken"
+            )
+        have = sum(weight.get(v, 0) for v in cx.facet(leaf))
+        weight[(private & -private).bit_length()] = max(0, k - have)
+        covered |= cx.mask(leaf)
+    return CoverVector(tuple(weight.get(v, 0) for v in cx.active_vertices), k)
+
+
 def extend_cover_by_leaf(
     gamma: SimplicialComplex,
     delta: SimplicialComplex,
@@ -313,8 +336,7 @@ def extend_cover_by_leaf(
     the free vertex.
     """
     d_ids = set(delta.facet_ids)
-    g_ids = set(gamma.facet_ids)
-    if leaf not in d_ids or g_ids != d_ids - {leaf}:
+    if leaf not in d_ids or set(gamma.facet_ids) != d_ids - {leaf}:
         raise ValueError("gamma must be delta with exactly the leaf facet removed")
     if not is_leaf(delta, leaf):
         raise NotALeafError(f"facet {leaf} is not a leaf of the larger complex")
@@ -322,19 +344,8 @@ def extend_cover_by_leaf(
         raise LengthMismatchError(
             "cover vector does not match the reduced complex's vertex universe"
         )
-    free = free_vertices(delta, leaf)
-    if not free:
-        raise NoFreeVertexError(
-            f"leaf {leaf} has no private vertex; the facet antichain is broken"
-        )
-    target = min(free)
-
-    weight = {v: w for v, w in zip(gamma.active_vertices, cover.a)}
-    leaf_sum = sum(weight.get(v, 0) for v in delta.facet(leaf))
-    deficit = max(0, cover.k - leaf_sum)
-    ext = [weight.get(v, 0) for v in delta.active_vertices]
-    ext[delta.active_vertices.index(target)] += deficit
-    return CoverVector(tuple(ext), cover.k)
+    weight = dict(zip(gamma.active_vertices, cover.a))
+    return _extend(weight, delta, gamma.facet_ids, (leaf,), cover.k)
 
 
 def witness_cover_from_cycle(
@@ -342,11 +353,12 @@ def witness_cover_from_cycle(
 ) -> CoverVector:
     """Indecomposable 2-cover of a quasi-tree built from a special odd cycle.
 
-    Construction: take the minimal subtree of the relation tree spanning the
-    cycle's facets; on that subcomplex the 0/1 indicator of the cycle's
-    vertices is a 2-cover (every subtree facet meets the cycle twice) and
-    indecomposable (special + odd); then re-attach the remaining facets in
-    reverse leaf-removal order via :func:`extend_cover_by_leaf`.  The result
+    On the core, the minimal subtree of the relation tree spanning the
+    cycle's facets, the 0/1 indicator of the cycle's vertices is a 2-cover
+    (every core facet meets the cycle twice) and indecomposable (special +
+    odd).  One peel of ``cx`` down to the core detaches the other facets;
+    they are re-attached in reverse order, each placing its deficit on its
+    lowest private vertex as :func:`extend_cover_by_leaf` does.  The result
     is re-checked with :func:`decompose_cover` before it is returned.
     """
     if not is_quasi_tree(cx):
@@ -361,25 +373,13 @@ def witness_cover_from_cycle(
         )
 
     core = minimal_subtree(tree, cycle.facets)
-    detached: list[int] = []
-    for fid, branches in peel_leaves(cx, keep=frozenset(core.nodes)):
-        if not branches:
-            raise VerificationFailedError(
-                "no detachable leaf outside the cycle core; not a quasi-tree?"
-            )
-        detached.append(fid)
-
-    gamma = smd(cx, core.nodes)
-    cyc_verts = set(cycle.vertices)
-    vec = tuple(1 if v in cyc_verts else 0 for v in gamma.active_vertices)
-    cover = CoverVector(vec, 2)
-    for fid in reversed(detached):
-        delta = smd(cx, gamma.facet_ids + (fid,))
-        cover = extend_cover_by_leaf(gamma, delta, fid, cover)
-        gamma = delta
-
-    if len(cover.a) != len(cx.active_vertices):
-        raise VerificationFailedError("witness vector lost vertices on the way up")
+    steps = list(peel_leaves(cx, keep=frozenset(core.nodes)))
+    if not all(branches for _, branches in steps):
+        raise VerificationFailedError(
+            "no detachable leaf outside the cycle core; not a quasi-tree?"
+        )
+    leaves = [fid for fid, _ in reversed(steps)]
+    cover = _extend({v: 1 for v in cycle.vertices}, cx, core.nodes, leaves, 2)
     if not is_k_cover(cx, cover.a, 2):
         raise VerificationFailedError("constructed witness is not a 2-cover")
     if decompose_cover(cx, cover.a, 2) is not None:

@@ -71,20 +71,12 @@ def is_cycle(
             f"{len(verts)} vertices vs {len(fids)} facets; lists must pair up"
         )
     s = len(verts)
-    if s < 2:
+    if s < 2 or len(set(verts)) != s or len(set(fids)) != s:
         return False
-    if len(set(verts)) != s or len(set(fids)) != s:
+    if not set(verts) <= set(cx.active_vertices):
         return False
-    active = set(cx.active_vertices)
-    if any(v not in active for v in verts):
-        return False
-    for fid in fids:
-        cx.facet(fid)  # raises UnknownFacetIdError for bad ids
-    for i in range(s):
-        f = cx.facet(fids[i])
-        if verts[i] not in f or verts[(i + 1) % s] not in f:
-            return False
-    return True
+    fsets = [cx.facet(fid) for fid in fids]  # raises UnknownFacetIdError for bad ids
+    return all({u, v} <= f for u, v, f in zip(verts, verts[1:] + verts[:1], fsets))
 
 
 def is_special_cycle(cx: SimplicialComplex, cycle: Cycle) -> bool:

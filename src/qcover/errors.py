@@ -10,9 +10,15 @@ def echo(value: object) -> str:
 
     A cut shows the first 20 characters (of a string before its ``repr``,
     of anything else after it) and the full length, so a message stays one
-    short line however long the input that it quotes.
+    short line however long the input that it quotes.  An integer past
+    Python's int-to-str digit limit is described by its bit length instead.
     """
-    text = value if isinstance(value, str) else repr(value)
+    try:
+        text = value if isinstance(value, str) else repr(value)
+    except ValueError:  # the digit limit, hit by an int or a list holding one
+        if isinstance(value, int):
+            return f"<{value.bit_length()}-bit {'negative ' if value < 0 else ''}integer>"
+        return f"<{type(value).__name__} holding an integer too long to print>"
     if len(text) <= 20:
         return repr(value)
     head = repr(text[:20]) if isinstance(value, str) else text[:20]

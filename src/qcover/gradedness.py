@@ -19,7 +19,6 @@ from .cycles import Cycle, find_special_odd_cycle, DEFAULT_CYCLE_BUDGET
 from .errors import NotQuasiTreeError
 from .quasiforest import (
     BranchRule,
-    is_quasi_tree,
     leaf_order,
     min_branch_rule,
     relation_tree,
@@ -66,7 +65,8 @@ def is_standard_graded(
     Raises NotQuasiTreeError otherwise; use :func:`brute_force_verdict` for
     arbitrary complexes.
     """
-    if not is_quasi_tree(cx):
+    order = leaf_order(cx)
+    if order is None or not cx.is_connected():
         raise NotQuasiTreeError(
             "the cycle criterion only decides quasi-trees; "
             "brute_force_verdict handles arbitrary complexes up to a bound"
@@ -76,15 +76,9 @@ def is_standard_graded(
         return Verdict(standard_graded=True, method="criterion")
     from .covers import witness_cover_from_cycle
 
-    order = leaf_order(cx)
     tree = relation_tree(cx, order, branch_rule)
     cover = witness_cover_from_cycle(cx, tree, cyc)
-    return Verdict(
-        standard_graded=False,
-        cycle_witness=cyc,
-        cover_witness=cover,
-        method="criterion",
-    )
+    return Verdict(standard_graded=False, cycle_witness=cyc, cover_witness=cover)
 
 
 def brute_force_verdict(cx: SimplicialComplex, k_max: int) -> Verdict:
@@ -147,6 +141,8 @@ def cross_validate(
 ) -> CrossValidation:
     """Run both verdict routes on a quasi-tree and compare them.
 
+    Other complexes raise NotQuasiTreeError from :func:`is_standard_graded`.
+
     With k_max >= 2 the two must agree: a special odd cycle forces an
     indecomposable 2-cover, and its absence forces standard gradedness.  A
     disagreement therefore indicates an engine bug and callers should
@@ -157,8 +153,6 @@ def cross_validate(
     generator exist; a degree-2 generator without a cycle in the same
     subcomplex is flagged inconsistent.
     """
-    if not is_quasi_tree(cx):
-        raise NotQuasiTreeError("cross validation requires a quasi-tree")
     crit = is_standard_graded(cx, branch_rule=branch_rule)
     brute = brute_force_verdict(cx, k_max)
     sweep = None

@@ -34,6 +34,7 @@ from .errors import (
     InvalidLeafOrderError,
     NotAPermutationError,
     UnknownNodeError,
+    echo,
 )
 
 BranchRule = Callable[[int, tuple[int, ...]], int]
@@ -156,7 +157,8 @@ def _peel_order(
     """Peel a proposed leaf order from its last facet back to its first."""
     if sorted(seq) != sorted(cx.facet_ids):
         raise NotAPermutationError(
-            f"order {seq} is not a permutation of facet ids {list(cx.facet_ids)}"
+            f"order {echo(seq)} is not a permutation of facet ids "
+            f"{echo(list(cx.facet_ids))}"
         )
     return peel_leaves(cx, detach=reversed(seq))
 
@@ -241,68 +243,48 @@ def relation_tree(
     )
 
 
+def _root_path(tree: RelationTree, f: int) -> list[int]:
+    """f, branch(f), branch(branch(f)), ... up to the root, which ends it."""
+    if f not in tree.branch:
+        raise UnknownNodeError(f"facet id {f} is not a tree node")
+    path = [f]
+    while tree.branch[path[-1]] != path[-1]:
+        if len(path) == len(tree.branch):
+            raise ValueError("the branch map loops without reaching a root")
+        path.append(tree.branch[path[-1]])
+    return path
+
+
 def is_branch_ancestor(tree: RelationTree, g: int, f: int) -> bool:
     """True when iterating the branch map from f reaches g (reflexively).
 
     This is the partial order induced by the tree: g precedes f when the
     chain f, branch(f), branch(branch(f)), ... passes through g.
     """
-    for fid in (g, f):
-        if fid not in tree.branch:
-            raise UnknownNodeError(f"facet id {fid} is not a tree node")
-    cur = f
-    while True:
-        if cur == g:
-            return True
-        nxt = tree.branch[cur]
-        if nxt == cur:
-            return False
-        cur = nxt
+    if g not in tree.branch:
+        raise UnknownNodeError(f"facet id {g} is not a tree node")
+    return g in _root_path(tree, f)
 
 
 def minimal_subtree(tree: RelationTree, targets: Iterable[int]) -> RelationTree:
-    """Smallest subtree containing the targets (iterated leaf pruning).
+    """Smallest subtree containing the targets: their root paths, cut at the top.
 
-    Degree-one nodes outside the target set are removed until none remain.
-    The new root is the surviving node closest to the old root, i.e. the
-    minimal survivor in the branch partial order.
+    The branch map is a parent pointer, so the subtree is the union of the
+    targets' paths towards the root, each cut at the first node that all of
+    them pass through.  That meeting node is the new root, the node of the
+    subtree closest to the old root.
     """
     tset = set(targets)
     if not tset:
         raise ValueError("target set must be nonempty")
-    for fid in tset:
-        if fid not in tree.branch:
-            raise UnknownNodeError(f"facet id {fid} is not a tree node")
-    nodes = set(tree.nodes)
-    adj: dict[int, set[int]] = {v: set() for v in nodes}
-    for a, b in tree.edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(nodes):
-            if v not in tset and len(adj[v]) <= 1 and len(nodes) > 1:
-                for u in adj[v]:
-                    adj[u].discard(v)
-                nodes.discard(v)
-                del adj[v]
-                changed = True
-    edges = tuple(sorted((a, b) for a, b in tree.edges if a in nodes and b in nodes))
-    # the surviving node whose branch already left the subtree is the top one
-    root = None
-    branch: dict[int, int] = {}
-    for v in sorted(nodes):
-        b = tree.branch[v]
-        if b == v or b not in nodes:
-            root = v
-            branch[v] = v
-        else:
-            branch[v] = b
-    assert root is not None and len(edges) == len(nodes) - 1
-    return RelationTree(
-        nodes=tuple(sorted(nodes)), edges=edges, branch=branch, root=root
-    )
+    paths = [_root_path(tree, fid) for fid in sorted(tset)]
+    shared = set(paths[0]).intersection(*paths[1:])
+    root = next(fid for fid in paths[0] if fid in shared)
+    branch = {fid: tree.branch[fid] for p in paths for fid in p[: p.index(root)]}
+    edges = tuple(sorted((min(f, b), max(f, b)) for f, b in branch.items()))
+    branch[root] = root
+    nodes = tuple(sorted(branch))
+    return RelationTree(nodes=nodes, edges=edges, branch=branch, root=root)
 
 
 # --- free vertices ---------------------------------------------------------------

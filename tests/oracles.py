@@ -132,3 +132,37 @@ def oracle_special_odd_cycle_exists(cx, max_s=None) -> bool:
         return False
 
     return any(walk([v], []) for v in vertices)
+
+
+# --- relation trees -------------------------------------------------------------------
+
+
+def oracle_minimal_subtree(tree, targets):
+    """Prune non-target nodes of degree <= 1 to a fixed point.
+
+    Returns (nodes, edges, branch, root); the root is the survivor whose
+    branch is itself or was pruned.
+    """
+    tset = set(targets)
+    nodes = set(tree.nodes)
+    adj = {v: set() for v in nodes}
+    for a, b in tree.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(nodes):
+            if v not in tset and len(adj[v]) <= 1 and len(nodes) > 1:
+                for u in adj[v]:
+                    adj[u].discard(v)
+                nodes.discard(v)
+                del adj[v]
+                changed = True
+    edges = tuple(sorted((a, b) for a, b in tree.edges if a in nodes and b in nodes))
+    branch = {}
+    for v in sorted(nodes):
+        b = tree.branch[v]
+        branch[v] = b if b != v and b in nodes else v
+    (root,) = [v for v in nodes if branch[v] == v]
+    return tuple(sorted(nodes)), edges, branch, root

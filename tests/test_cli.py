@@ -141,6 +141,16 @@ def test_dot_long_order_exits_2_with_one_error_line(capsys, fan_file):
     assert_one_error_line(capsys, ["dot", fan_file, "--order", "7" * 5000], expected)
 
 
+def test_dot_order_with_a_long_id_exits_2_with_one_error_line(capsys, fan_file):
+    # the id parses (it is under the int-to-str limit) but is no facet id
+    expected = (
+        "order [1, 2, 3, 4, 9999999... (4014 characters) is not a permutation of "
+        "facet ids [1, 2, 3, 4, 5]"
+    )
+    argv = ["dot", fan_file, "--order", "1,2,3,4," + "9" * 4000]
+    assert_one_error_line(capsys, argv, expected)
+
+
 @pytest.mark.parametrize("command", ["gen", "verify"])
 def test_negative_seed_exits_2(capsys, delta3_file, command):
     argv = {"gen": ["gen", "random", "--facets", "3"], "verify": ["verify", delta3_file]}

@@ -11,6 +11,7 @@ from qcover import (
     new_complex,
     smd,
 )
+from qcover.errors import echo
 from qcover.families import double_fan
 
 
@@ -57,6 +58,23 @@ def test_construction_errors():
         new_complex([])
     with pytest.raises(TooManyVerticesError):
         new_complex([{1, 65}] + [{v} for v in range(2, 65)])
+
+
+def test_labels_past_the_int_to_str_limit_are_described_by_bit_length():
+    # repr of such an int raises ValueError; the messages must not
+    with pytest.raises(TooManyVerticesError) as err:
+        new_complex([[1, 10**5000]])
+    assert str(err.value) == (
+        "<16610-bit integer> vertex labels; the engine supports at most 64"
+    )
+    with pytest.raises(ValueError) as err:
+        new_complex([[1, -(10**5000)]])
+    assert str(err.value) == (
+        "facet #1 contains <16610-bit negative integer>; vertex labels must be "
+        "positive integers"
+    )
+    assert echo([1, 10**5000]) == "<list holding an integer too long to print>"
+    assert echo(10**4000) == "10000000000000000000... (4001 characters)"
 
 
 def test_repeated_vertices_within_facet_are_collapsed():

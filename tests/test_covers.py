@@ -423,7 +423,7 @@ def test_witnesses_match_golden():
     # rqt:s = GeneratorSeed(s, 6 + s % 30, 2 + s % 7) for s < 3000 (over-64-vertex
     # draws left out) and delta:n = delta_n(n) for n in 3..32, with the
     # witnesses the criterion gave when the golden was recorded
-    golden = json.loads((Path(__file__).parent / "golden" / "witnesses.json").read_text())
+    golden = json.loads((Path(__file__).parent / "golden/witnesses.json").read_text())
     assert len(golden) == 253
     for key, want in golden.items():
         kind, n = key.split(":")

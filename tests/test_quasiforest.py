@@ -7,6 +7,7 @@ import pytest
 from qcover import (
     InvalidLeafOrderError,
     NotAPermutationError,
+    RelationTree,
     UnknownNodeError,
     branches_of,
     find_leaf,
@@ -29,7 +30,12 @@ from qcover import (
 from qcover.families import GeneratorSeed, delta_n, double_fan, random_quasi_tree
 
 from corpus import LARGE_SEEDS
-from oracles import facet_sets, oracle_has_leaf_order, oracle_is_leaf_order
+from oracles import (
+    facet_sets,
+    oracle_has_leaf_order,
+    oracle_is_leaf_order,
+    oracle_minimal_subtree,
+)
 
 TRIANGLE = [{1, 2}, {2, 3}, {1, 3}]
 
@@ -101,6 +107,11 @@ def test_not_a_permutation_raises():
         validate_leaf_order(cx, [1, 2, 3])
     with pytest.raises(NotAPermutationError):
         validate_leaf_order(cx, [1, 1, 2, 3, 4])
+    with pytest.raises(NotAPermutationError) as err:
+        validate_leaf_order(cx, [1, 2, 3, 4, 9])
+    assert str(err.value) == (
+        "order [1, 2, 3, 4, 9] is not a permutation of facet ids [1, 2, 3, 4, 5]"
+    )
 
 
 def test_greedy_soundness(quasi_tree_corpus):
@@ -272,6 +283,35 @@ def test_minimal_subtree_errors():
         minimal_subtree(tree, {99})
     with pytest.raises(ValueError):
         minimal_subtree(tree, set())
+
+
+def test_minimal_subtree_matches_pruning_oracle(quasi_tree_corpus):
+    checked = 0
+    for cx in quasi_tree_corpus:
+        if len(cx.facets) > 8:
+            continue
+        for rule in (min_branch_rule, max_branch_rule):
+            tree = relation_tree(cx, leaf_order(cx), rule)
+            for r in range(1, len(tree.nodes) + 1):
+                for targets in itertools.combinations(tree.nodes, r):
+                    sub = minimal_subtree(tree, targets)
+                    want = oracle_minimal_subtree(tree, targets)
+                    assert (sub.nodes, sub.edges, sub.branch, sub.root) == want
+                    checked += 1
+    assert checked > 4000
+
+
+def test_looping_branch_map_raises_instead_of_hanging():
+    # branch points 1 -> 2 -> 1, so the walk from 1 never meets the root 3
+    tree = RelationTree(
+        nodes=(1, 2, 3), edges=((1, 2),), branch={1: 2, 2: 1, 3: 3}, root=3
+    )
+    with pytest.raises(ValueError, match="loops"):
+        is_branch_ancestor(tree, 3, 1)
+    with pytest.raises(ValueError, match="loops"):
+        minimal_subtree(tree, {1, 3})
+    assert is_branch_ancestor(tree, 3, 3)
+    assert minimal_subtree(tree, {3}).nodes == (3,)
 
 
 # --- free vertices --------------------------------------------------------------------
