@@ -5,6 +5,7 @@ The heavy lifting is cross-checked against the unoptimized oracles in
 minimality, unit peels, DFS bounds) never goes unchecked.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -305,6 +306,56 @@ def test_enumeration_counts_are_pinned():
     tree14 = random_quasi_tree(GeneratorSeed(3, 10, 3))
     assert len(tree14.active_vertices) == 14
     assert indecomposable_covers(tree14, 2) == []
+
+
+PINNED_COMPLEXES = {
+    "delta3": D3,
+    "delta4": delta_n(4),
+    "delta5": delta_n(5),
+    "fan": FAN,
+    "tree14": random_quasi_tree(GeneratorSeed(3, 10, 3)),
+}
+NO_COVERS = "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"
+# (complex name, k, count, first cover, sha256 of json.dumps of the covers as lists);
+# recorded before the enumeration kept its prune state incrementally
+PINNED_ENUMERATION = [
+    ("delta3", 0, 6, (0, 0, 0, 0, 0, 1), "efc89e1a308c8d593ea4a27c911579a2f8aed6fd0b19f5608e9e8110e0b33975"),
+    ("delta3", 1, 6, (0, 0, 1, 0, 0, 1), "432ac4012049dda147695371444437975df3642be707d9a277117bcdde1f738f"),
+    ("delta3", 2, 1, (1, 1, 1, 0, 0, 0), "2f7af180c5fe355b54d87ad4de3d225761a13ea783f3710b80f55bd603db7d58"),
+    ("delta3", 3, 0, None, NO_COVERS),
+    ("delta3", 4, 0, None, NO_COVERS),
+    ("delta4", 0, 8, (0, 0, 0, 0, 0, 0, 0, 1), "a8527d8c92783885f1765f3111b3b917cb8dea436bd26205929deaa6269d0ca9"),
+    ("delta4", 1, 10, (0, 0, 0, 1, 0, 0, 0, 1), "e35cef3677e26b98af23d5731c86d9696801da232fe4d9b83ca279e1a922007e"),
+    ("delta4", 2, 4, (0, 1, 1, 1, 0, 0, 0, 0), "aa9ec02d028e077e5c7fff42dc29ff04677c2803a4b1310005e06fd3e717840b"),
+    ("delta4", 3, 1, (1, 1, 1, 1, 0, 0, 0, 0), "b79004d7ff955a1efcdbf09ba293929142f4d19485c72f6e12ef6d4f936c7527"),
+    ("delta4", 4, 0, None, NO_COVERS),
+    ("delta5", 0, 10, (0, 0, 0, 0, 0, 0, 0, 0, 0, 1), "edd79a0f4a7ea5cb59d4362904a883c0ea2d5f4656a0eb0abd26de05df8854c8"),
+    ("delta5", 1, 15, (0, 0, 0, 0, 1, 0, 0, 0, 0, 1), "5d164ba73da07f222217e9fb75108960ec2c2681e882eb707bd4bc8667e91fe9"),
+    ("delta5", 2, 10, (0, 0, 1, 1, 1, 0, 0, 0, 0, 0), "38004f48afeca22d17c78b7765764c03423cca77f00ec9162863d9434f60bd6f"),
+    ("delta5", 3, 5, (0, 1, 1, 1, 1, 0, 0, 0, 0, 0), "4b56f1c64f3e49ae9628af84ade144ea4d4e870ca1420f02ec5cb2db58b26fb1"),
+    ("delta5", 4, 1, (1, 1, 1, 1, 1, 0, 0, 0, 0, 0), "cc81c5eb0e139a27372f727677b02e52d8ef0f78af20a3d1cfa6cf0330650013"),
+    ("fan", 0, 7, (0, 0, 0, 0, 0, 0, 1), "54fb9103e28118f6a8ba999685a01e1af2e98bbd619de31d94df20301d4b08a3"),
+    ("fan", 1, 4, (0, 0, 1, 1, 1, 0, 0), "87b8f73b18013761401fffc7418c8d995a0f71a5d090f1113a770c1a79039823"),
+    ("fan", 2, 0, None, NO_COVERS),
+    ("fan", 3, 0, None, NO_COVERS),
+    ("fan", 4, 0, None, NO_COVERS),
+    ("tree14", 0, 14, (0,) * 13 + (1,), "a18ec304b886aed4517d85530ad9641f16224a3413b37e2edd917d6540e782b3"),
+    ("tree14", 1, 52, (0, 0, 1, 1, 0, 0, 0, 1, 0, 0, 0, 1, 1, 1), "e6ad18e9112a820bf20f28bff8606ec081d96617174e2d427b8166adfd5bb153"),
+    ("tree14", 2, 0, None, NO_COVERS),
+]
+
+
+@pytest.mark.parametrize(
+    "name, k, count, first, digest",
+    PINNED_ENUMERATION,
+    ids=[f"{name}-k{k}" for name, k, *_ in PINNED_ENUMERATION],
+)
+def test_enumeration_lists_are_pinned(name, k, count, first, digest):
+    covers = indecomposable_covers(PINNED_COMPLEXES[name], k)
+    assert len(covers) == count
+    assert (covers[0].a if covers else None) == first
+    listed = json.dumps([list(c.a) for c in covers]).encode()
+    assert hashlib.sha256(listed).hexdigest() == digest
 
 
 # --- leaf extension ----------------------------------------------------------------
