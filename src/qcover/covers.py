@@ -31,9 +31,11 @@ against an unoptimized oracle:
   (otherwise subtract a unit 0-cover), i.e. every weighted vertex lies in
   some facet whose sum is exactly k, and
 * facet sums only grow along the walk, so once every facet through a
-  weighted vertex sums above k that vertex can never become tight: the
-  walk stops raising the current vertex as soon as a facet crossing k + 1
-  strands it or an earlier weighted vertex of that facet.
+  weighted vertex sums above k that vertex can never become tight.  The
+  walk keeps slack[u], the number of facets through u still summing to k
+  or less, and changes it only when a facet crosses from k to k + 1 (and
+  back on backtrack); it stops raising the current vertex as soon as that
+  leaves a weighted vertex with no slack.
 """
 
 from __future__ import annotations
@@ -90,16 +92,22 @@ def _facets_at(fpos: list[tuple[int, ...]], n: int) -> list[list[int]]:
     return at
 
 
+_NOT_INTEGRAL = "cover vectors must be nonnegative integers"
+
+
 def _check_vector(cx: SimplicialComplex, a: Sequence[int]) -> tuple[int, ...]:
     raw = tuple(a)
-    vec = tuple(int(x) for x in raw)
+    try:
+        vec = tuple(int(x) for x in raw)
+    except (TypeError, ValueError, OverflowError):  # None, "x", inf, nan
+        raise ValueError(_NOT_INTEGRAL) from None
     if len(vec) != len(cx.active_vertices):
         raise LengthMismatchError(
             f"vector has {len(vec)} entries, the vertex universe has "
             f"{len(cx.active_vertices)}"
         )
     if any(x != y or y < 0 for x, y in zip(raw, vec)):
-        raise ValueError("cover vectors must be nonnegative integers")
+        raise ValueError(_NOT_INTEGRAL)
     return vec
 
 
@@ -119,7 +127,7 @@ def is_k_cover(cx: SimplicialComplex, a: Sequence[int], k: int) -> bool:
 
 
 def _lex_first_split(
-    a: tuple[int, ...], k: int, facets_at: list[list[int]], sums: list[int]
+    a: tuple[int, ...], k: int, facets_at: list[list[int]], sums: list[int], floor: int
 ) -> Optional[tuple[int, ...]]:
     """Lexicographically first b with 0 < b < a splitting a at order k.
 
@@ -145,15 +153,15 @@ def _lex_first_split(
     Order floor: if b has order 0, a - b is a k-cover, and so is a - e_v
     for any v with b[v] > 0: a unit at v could be peeled off.  Unless some
     weighted vertex has every facet above k, both parts of a split thus
-    have order >= 1, and both bounds must stay >= 1.
+    have order >= 1, and both bounds are held at ``floor`` = 1 (0 when
+    there is such a vertex).  The caller hands the floor in:
+    :func:`decompose_cover` scans for such a vertex, while every
+    enumeration leaf is a minimal k-cover, which has none, so
+    :func:`indecomposable_covers` passes 1 without a scan.
     """
     sup = [t for t, x in enumerate(a) if x > 0]
     reach = list(sums)
     keep = list(sums)
-    peelable = any(
-        x and all(sums[j] > k for j in facets_at[t]) for t, x in enumerate(a)
-    )
-    floor = 0 if peelable else 1
     b = [0] * len(a)
 
     def rec(i: int, lo_reach: int, lo_keep: int, tied: bool) -> Optional[tuple]:
@@ -205,7 +213,12 @@ def decompose_cover(
     sums = [sum(vec[p] for p in f) for f in fpos]
     if min(sums) < k:
         raise NotAKCoverError(f"{list(vec)} is not a {k}-cover")
-    b = _lex_first_split(vec, k, _facets_at(fpos, len(vec)), sums)
+    facets_at = _facets_at(fpos, len(vec))
+    # a weighted vertex with every facet above k is a unit that peels off
+    peelable = any(
+        x and all(sums[j] > k for j in facets_at[t]) for t, x in enumerate(vec)
+    )
+    b = _lex_first_split(vec, k, facets_at, sums, 0 if peelable else 1)
     if b is None:
         return None
     c = tuple(x - y for x, y in zip(vec, b))
@@ -226,8 +239,11 @@ def indecomposable_covers(cx: SimplicialComplex, k: int) -> list[CoverVector]:
     all set sums below k, and it stops raising a vertex once that leaves
     some weighted vertex, this one or an earlier one, with every facet
     through it above k.  Sums only grow, so such a vertex can lie in no
-    tight facet.  Every leaf is thus a minimal k-cover, and each is decided
-    exactly by :func:`_lex_first_split`.
+    tight facet.  A count per vertex, slack[u], of the facets through u
+    still at k or less spots this without rescanning any facet list: it
+    changes only when a facet's sum crosses k + 1.  Every leaf is thus a
+    minimal k-cover, so no unit can be peeled from it, and each is decided
+    exactly by :func:`_lex_first_split` with its order floor set to 1.
     """
     if k < 0:
         raise ValueError("cover order must be nonnegative")
@@ -240,34 +256,40 @@ def indecomposable_covers(cx: SimplicialComplex, k: int) -> list[CoverVector]:
     # the facets whose last vertex is t must have reached k once t is set
     closes = [[j for j in facets_at[t] if fpos[j][-1] == t] for t in range(n)]
     sums = [0] * len(fpos)
+    slack = [len(at) for at in facets_at]
     a = [0] * n
     out: list[CoverVector] = []
-
-    def stranded(u: int) -> bool:
-        return a[u] > 0 and all(sums[j] > k for j in facets_at[u])
 
     def rec(t: int) -> None:
         if t == n:
             cand = tuple(a)
-            if _lex_first_split(cand, k, facets_at, sums) is None:
+            if _lex_first_split(cand, k, facets_at, sums, 1) is None:
                 out.append(CoverVector(cand, k))
             return
         at = facets_at[t]
         for val in range(k + 1):
             a[t] = val
             if val:
+                stuck = not slack[t]
                 for j in at:
                     sums[j] += 1
-                # only a facet that just crossed k + 1 can strand an earlier vertex
-                crossed = [j for j in at if sums[j] == k + 1]
-                if stranded(t) or any(
-                    stranded(u) for j in crossed for u in fpos[j] if u < t
-                ):
+                    if sums[j] == k + 1:
+                        for u in fpos[j]:
+                            slack[u] -= 1
+                            if not slack[u] and a[u]:
+                                stuck = True
+                if stuck:
                     break
             if all(sums[j] >= k for j in closes[t]):
                 rec(t + 1)
+        x = a[t]
         for j in at:
-            sums[j] -= a[t]
+            s = sums[j]
+            if s - x <= k < s:
+                # crossed k + 1 while t was raised
+                for u in fpos[j]:
+                    slack[u] += 1
+            sums[j] = s - x
         a[t] = 0
 
     rec(0)

@@ -251,7 +251,13 @@ def _root_path(tree: RelationTree, f: int) -> list[int]:
     while tree.branch[path[-1]] != path[-1]:
         if len(path) == len(tree.branch):
             raise ValueError("the branch map loops without reaching a root")
-        path.append(tree.branch[path[-1]])
+        g = tree.branch[path[-1]]
+        if g not in tree.branch:
+            raise UnknownNodeError(
+                f"the branch map sends facet {echo(path[-1])} to {echo(g)}, "
+                "which is not a tree node"
+            )
+        path.append(g)
     return path
 
 

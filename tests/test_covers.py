@@ -75,6 +75,12 @@ def test_cover_vectors_must_be_integral():
         cover_order(D3, (0.6, 0.6, 0.6, 0, 0, 0))
     with pytest.raises(ValueError, match="nonnegative integers"):
         decompose_cover(D3, (1.9, 1, 1, 1, 0, 0), 2)
+    # int() would raise OverflowError, TypeError or its own ValueError here
+    for bad in (float("inf"), float("nan"), None, "x"):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            cover_order(D3, (bad, 1, 1, 0, 0, 0))
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            decompose_cover(D3, (1, 1, 1, 0, 0, bad), 2)
     assert cover_order(D3, (True, True, True, False, False, False)) == 2
     assert cover_order(D3, np.array([1, 1, 1, 0, 0, 0])) == 2
 
@@ -224,6 +230,22 @@ def test_enumeration_matches_oracle(quasi_tree_corpus, small_complex_corpus):
         for k in (0, 1, 2, 3):
             got = [c.a for c in indecomposable_covers(cx, k)]
             assert got == oracle_indecomposable_covers(cx, k)
+
+
+@pytest.mark.parametrize("cx", [D3, FAN], ids=["delta3", "fan"])
+def test_enumeration_matches_oracle_on_every_smd_view(cx):
+    # the sweep's inputs: the slack counts must count only the view's facets
+    import itertools
+
+    views = 0
+    for r in range(1, len(cx.facet_ids) + 1):
+        for ids in itertools.combinations(cx.facet_ids, r):
+            view = smd(cx, ids)
+            for k in (0, 1, 2, 3):
+                got = [c.a for c in indecomposable_covers(view, k)]
+                assert got == oracle_indecomposable_covers(view, k), (ids, k)
+            views += 1
+    assert views == 2 ** len(cx.facet_ids) - 1
 
 
 def test_entry_bound_on_indecomposables(small_complex_corpus):

@@ -314,6 +314,17 @@ def test_looping_branch_map_raises_instead_of_hanging():
     assert minimal_subtree(tree, {3}).nodes == (3,)
 
 
+def test_dangling_branch_map_names_the_missing_node():
+    # branch sends 1 to 5, which the tree does not hold
+    tree = RelationTree(nodes=(1, 2), edges=((1, 2),), branch={1: 5, 2: 2}, root=2)
+    with pytest.raises(UnknownNodeError, match="sends facet 1 to 5"):
+        is_branch_ancestor(tree, 2, 1)
+    with pytest.raises(UnknownNodeError, match="sends facet 1 to 5"):
+        minimal_subtree(tree, {1, 2})
+    assert is_branch_ancestor(tree, 2, 2)
+    assert minimal_subtree(tree, {2}).nodes == (2,)
+
+
 # --- free vertices --------------------------------------------------------------------
 
 
