@@ -1,5 +1,6 @@
 """Verdicts, the criterion/brute-force equivalence, cross-validation."""
 
+import hashlib
 import json
 
 import pytest
@@ -112,6 +113,25 @@ def test_smd_sweep_is_consistent():
     assert all(entry["consistent"] for entry in r.smd_sweep)
     full = [e for e in r.smd_sweep if len(e["facet_ids"]) == 4][0]
     assert full["has_special_odd_cycle"] and full["has_degree2_generator"]
+
+
+# sha256 of the canonical JSON (sorted keys, no spaces) of the brute-force
+# benchmark's sweep cases, both verdicts and every sweep row; recorded before
+# the brute-force side stopped each degree at its first generator
+PINNED_SWEEPS = [
+    ("fan", double_fan, 31, "ac94d49842dbe976a88516df76abf3a876583efe3dff2c925b8c981910d6d999"),
+    ("delta3", lambda: delta_n(3), 15, "f1cdfc999235fc73b9c7ca0303457f6fd8c1c98105905622311aae1c94524fe8"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, rows, digest", [p[1:] for p in PINNED_SWEEPS], ids=[p[0] for p in PINNED_SWEEPS]
+)
+def test_sweep_reports_are_pinned(build, rows, digest):
+    report = cross_validate(build(), 4, sweep_smds=True).to_dict()
+    assert len(report["smd_sweep"]) == rows
+    canonical = json.dumps(report, sort_keys=True, separators=(",", ":")).encode()
+    assert hashlib.sha256(canonical).hexdigest() == digest
 
 
 def test_verdict_serialization_round_trip():
