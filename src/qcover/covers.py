@@ -22,6 +22,16 @@ per-facet bound shows no completion can qualify.  Split decisions walk the
 box 0 <= b <= a over the support of a; enumeration walks the box of
 candidate covers.  Neither materialises its box.
 
+Callers that need one generator per degree, not the list (``dmax``
+certificates, the brute-force verdict and the smd sweep), take the same
+walk's stop-after-first path: it returns at the first leaf that passes the
+split test, which is ``indecomposable_covers(cx, k)[0]``, so only degrees
+without a generator are searched exhaustively.  The split test runs at
+every leaf of the walk, so its per-node work is kept flat: one pass over
+the facets through the vertex updates the running sums and takes both
+minima, the bounds are clamped by comparisons, and b is written only for
+values that recurse.
+
 Enumeration facts used by the search, all re-checked by the test suite
 against an unoptimized oracle:
 
@@ -40,6 +50,7 @@ against an unoptimized oracle:
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple, Optional, Sequence
 
 from .complexes import SimplicialComplex
@@ -111,6 +122,24 @@ def _check_vector(cx: SimplicialComplex, a: Sequence[int]) -> tuple[int, ...]:
     return vec
 
 
+def _check_order(k: int, least: Optional[int] = 0, name: str = "cover order") -> int:
+    """k as an int, raising ValueError for a bool, a non-integer or k < least.
+
+    ``least=None`` checks the type alone.
+    """
+    try:
+        if isinstance(k, bool):
+            raise TypeError
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer") from None
+    if least is not None and k < least:
+        raise ValueError(
+            f"{name} must be " + ("nonnegative" if least == 0 else f"at least {least}")
+        )
+    return k
+
+
 def cover_order(cx: SimplicialComplex, a: Sequence[int]) -> int:
     """Largest k for which a is a k-cover: the minimal facet sum."""
     vec = _check_vector(cx, a)
@@ -118,8 +147,7 @@ def cover_order(cx: SimplicialComplex, a: Sequence[int]) -> int:
 
 
 def is_k_cover(cx: SimplicialComplex, a: Sequence[int], k: int) -> bool:
-    if k < 0:
-        raise ValueError("cover order must be nonnegative")
+    k = _check_order(k)
     return cover_order(cx, a) >= k
 
 
@@ -163,29 +191,39 @@ def _lex_first_split(
     reach = list(sums)
     keep = list(sums)
     b = [0] * len(a)
+    m = len(sup)
+    above = max(sums) + 1  # no running minimum starts above this
 
     def rec(i: int, lo_reach: int, lo_keep: int, tied: bool) -> Optional[tuple]:
-        if i == len(sup):
+        if i == m:
             # the cut keeps b lexicographically <= a - b, so b != a
             return tuple(b) if any(b) else None
         t = sup[i]
         x = a[t]
         at = facets_at[t]
         top = x // 2 if tied else x
-        for j in at:
-            reach[j] -= x
         # each unit of b[t] raises reach and lowers keep on the facets at t
-        low_reach = min([reach[j] for j in at])
-        low_keep = min([keep[j] for j in at])
+        low_reach = low_keep = above
+        for j in at:
+            r = reach[j] - x
+            reach[j] = r
+            if r < low_reach:
+                low_reach = r
+            if keep[j] < low_keep:
+                low_keep = keep[j]
         for val in range(top + 1):
             if val:
                 for j in at:
                     reach[j] += 1
                     keep[j] -= 1
-            b[t] = val
-            ub_b = min(lo_reach, low_reach + val)
-            ub_c = min(lo_keep, low_keep - val)
+            ub_b = low_reach + val
+            if ub_b > lo_reach:
+                ub_b = lo_reach
+            ub_c = low_keep - val
+            if ub_c > lo_keep:
+                ub_c = lo_keep
             if ub_b + ub_c >= k and ub_b >= floor and ub_c >= floor:
+                b[t] = val
                 hit = rec(i + 1, ub_b, ub_c, tied and val + val == x)
                 if hit is not None:
                     return hit
@@ -195,7 +233,8 @@ def _lex_first_split(
         b[t] = 0
         return None
 
-    return rec(0, min(reach), min(keep), True)
+    low = min(sums)
+    return rec(0, low, low, True)
 
 
 def decompose_cover(
@@ -207,8 +246,7 @@ def decompose_cover(
     summand over the componentwise box 0 <= b <= a.
     """
     vec = _check_vector(cx, a)
-    if k < 0:
-        raise ValueError("cover order must be nonnegative")
+    k = _check_order(k)
     fpos = _facet_positions(cx)
     sums = [sum(vec[p] for p in f) for f in fpos]
     if min(sums) < k:
@@ -245,12 +283,21 @@ def indecomposable_covers(cx: SimplicialComplex, k: int) -> list[CoverVector]:
     minimal k-cover, so no unit can be peeled from it, and each is decided
     exactly by :func:`_lex_first_split` with its order floor set to 1.
     """
-    if k < 0:
-        raise ValueError("cover order must be nonnegative")
+    return _indecomposables(cx, _check_order(k), False)
+
+
+def _first_indecomposable_cover(cx: SimplicialComplex, k: int) -> Optional[CoverVector]:
+    """``indecomposable_covers(cx, k)[0]``, or None, without listing the rest."""
+    found = _indecomposables(cx, _check_order(k), True)
+    return found[0] if found else None
+
+
+def _indecomposables(cx: SimplicialComplex, k: int, first: bool) -> list[CoverVector]:
+    """The walk behind :func:`indecomposable_covers`; ``first`` stops at one hit."""
     n = len(cx.active_vertices)
     if k == 0:
         units = [tuple(int(i == t) for i in range(n)) for t in reversed(range(n))]
-        return [CoverVector(u, 0) for u in units]
+        return [CoverVector(u, 0) for u in units[: 1 if first else n]]
     fpos = _facet_positions(cx)
     facets_at = _facets_at(fpos, n)
     # the facets whose last vertex is t must have reached k once t is set
@@ -260,13 +307,16 @@ def indecomposable_covers(cx: SimplicialComplex, k: int) -> list[CoverVector]:
     a = [0] * n
     out: list[CoverVector] = []
 
-    def rec(t: int) -> None:
+    def rec(t: int) -> bool:
+        """Walk the vertices from t on; True once ``first`` has its hit."""
         if t == n:
             cand = tuple(a)
             if _lex_first_split(cand, k, facets_at, sums, 1) is None:
                 out.append(CoverVector(cand, k))
-            return
+                return first
+            return False
         at = facets_at[t]
+        closing = closes[t]
         for val in range(k + 1):
             a[t] = val
             if val:
@@ -280,8 +330,12 @@ def indecomposable_covers(cx: SimplicialComplex, k: int) -> list[CoverVector]:
                                 stuck = True
                 if stuck:
                     break
-            if all(sums[j] >= k for j in closes[t]):
-                rec(t + 1)
+            for j in closing:
+                if sums[j] < k:
+                    break
+            else:
+                if rec(t + 1):
+                    return True
         x = a[t]
         for j in at:
             s = sums[j]
@@ -291,6 +345,7 @@ def indecomposable_covers(cx: SimplicialComplex, k: int) -> list[CoverVector]:
                     slack[u] += 1
             sums[j] = s - x
         a[t] = 0
+        return False
 
     rec(0)
     return out
@@ -302,17 +357,17 @@ def max_generator_degree(
     """Largest k <= k_max with an indecomposable k-cover, plus certificates.
 
     Returns (d, certificates) where certificates maps each realized degree
-    to its lexicographically smallest indecomposable cover.  Degrees above
-    k_max are not explored; callers must report d as a bound-limited value.
+    to its lexicographically smallest indecomposable cover, the first hit of
+    each degree's walk.  Degrees above k_max are not explored; callers must
+    report d as a bound-limited value.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
+    k_max = _check_order(k_max, 1, "k_max")
     certificates: dict[int, CoverVector] = {}
     d = 0
     for k in range(1, k_max + 1):
-        found = indecomposable_covers(cx, k)
-        if found:
-            certificates[k] = found[0]
+        found = _first_indecomposable_cover(cx, k)
+        if found is not None:
+            certificates[k] = found
             d = k
     return d, certificates
 
@@ -366,8 +421,8 @@ def extend_cover_by_leaf(
         raise LengthMismatchError(
             "cover vector does not match the reduced complex's vertex universe"
         )
-    weight = dict(zip(gamma.active_vertices, cover.a))
-    return _extend(weight, delta, gamma.facet_ids, (leaf,), cover.k)
+    weight = dict(zip(gamma.active_vertices, _check_vector(gamma, cover.a)))
+    return _extend(weight, delta, gamma.facet_ids, (leaf,), _check_order(cover.k))
 
 
 def witness_cover_from_cycle(

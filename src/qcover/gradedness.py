@@ -88,16 +88,15 @@ def brute_force_verdict(cx: SimplicialComplex, k_max: int) -> Verdict:
     standard gradedness exactly; finding none only certifies it up to the
     bound, which the verdict records in ``bound_used``.
     """
-    if k_max < 2:
-        raise ValueError("k_max must be at least 2")
-    from .covers import indecomposable_covers
+    from .covers import _check_order, _first_indecomposable_cover
 
+    k_max = _check_order(k_max, 2, "k_max")
     for k in range(2, k_max + 1):
-        found = indecomposable_covers(cx, k)
-        if found:
+        found = _first_indecomposable_cover(cx, k)
+        if found is not None:
             return Verdict(
                 standard_graded=False,
-                cover_witness=found[0],
+                cover_witness=found,
                 method="brute_force",
                 bound_used=k_max,
             )
@@ -153,19 +152,21 @@ def cross_validate(
     generator exist; a degree-2 generator without a cycle in the same
     subcomplex is flagged inconsistent.
     """
+    from .covers import _check_order, _first_indecomposable_cover
+
+    # type only: a non-quasi-tree raises NotQuasiTreeError before any bound check
+    _check_order(k_max, None, "k_max")
     crit = is_standard_graded(cx, branch_rule=branch_rule)
     brute = brute_force_verdict(cx, k_max)
     sweep = None
     if sweep_smds:
-        from .covers import indecomposable_covers
-
         sweep = []
         ids = list(cx.facet_ids)
         for r in range(1, len(ids) + 1):
             for subset in itertools.combinations(ids, r):
                 view = smd(cx, subset)
                 has_cycle = find_special_odd_cycle(view) is not None
-                has_deg2 = bool(indecomposable_covers(view, 2))
+                has_deg2 = _first_indecomposable_cover(view, 2) is not None
                 sweep.append(
                     {
                         "facet_ids": list(subset),

@@ -37,6 +37,7 @@ from qcover import (
     smd,
     witness_cover_from_cycle,
 )
+from qcover.covers import _first_indecomposable_cover
 from qcover.cycles import Cycle
 from qcover.families import GeneratorSeed, delta_n, double_fan, random_quasi_tree
 
@@ -92,6 +93,30 @@ def test_is_k_cover_examples():
     assert is_k_cover(D3, (0,) * 6, 0)
     with pytest.raises(ValueError):
         is_k_cover(D3, a, -1)
+
+
+def test_orders_must_be_integers():
+    a = (1, 1, 1, 0, 0, 0)
+    for bad in (1.5, 2.0, None, "2", True, np.float64(2)):
+        with pytest.raises(ValueError, match="cover order must be an integer"):
+            is_k_cover(D3, a, bad)
+        with pytest.raises(ValueError, match="cover order must be an integer"):
+            decompose_cover(D3, a, bad)
+        with pytest.raises(ValueError, match="cover order must be an integer"):
+            indecomposable_covers(D3, bad)
+        with pytest.raises(ValueError, match="cover order must be an integer"):
+            _first_indecomposable_cover(D3, bad)
+        with pytest.raises(ValueError, match="k_max must be an integer"):
+            max_generator_degree(D3, bad)
+    # the bool False is refused as well, not read as order 0
+    with pytest.raises(ValueError, match="cover order must be an integer"):
+        indecomposable_covers(D3, False)
+    # integer types other than int pass and come back as int
+    assert indecomposable_covers(D3, np.int64(2)) == [CoverVector(a, 2)]
+    assert type(indecomposable_covers(D3, np.int64(2))[0].k) is int
+    assert max_generator_degree(D3, np.int64(2))[0] == 2
+    with pytest.raises(ValueError, match="cover order must be nonnegative"):
+        decompose_cover(D3, a, -1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -246,6 +271,30 @@ def test_enumeration_matches_oracle_on_every_smd_view(cx):
                 assert got == oracle_indecomposable_covers(view, k), (ids, k)
             views += 1
     assert views == 2 ** len(cx.facet_ids) - 1
+
+
+def test_first_generator_heads_the_list(quasi_tree_corpus, small_complex_corpus):
+    # the stop-after-first walk behind dmax, the brute-force verdict and the sweep
+    checked = 0
+    for cx in quasi_tree_corpus + small_complex_corpus:
+        for k in (0, 1, 2, 3):
+            found = indecomposable_covers(cx, k)
+            assert _first_indecomposable_cover(cx, k) == (found[0] if found else None)
+            checked += bool(found)
+    assert checked > 1000
+
+
+@pytest.mark.parametrize("cx", [D3, FAN], ids=["delta3", "fan"])
+def test_first_generator_heads_the_list_on_every_smd_view(cx):
+    import itertools
+
+    for r in range(1, len(cx.facet_ids) + 1):
+        for ids in itertools.combinations(cx.facet_ids, r):
+            view = smd(cx, ids)
+            for k in (0, 1, 2, 3):
+                found = indecomposable_covers(view, k)
+                want = found[0] if found else None
+                assert _first_indecomposable_cover(view, k) == want, (ids, k)
 
 
 def test_entry_bound_on_indecomposables(small_complex_corpus):
@@ -421,6 +470,11 @@ def test_extension_validation():
         extend_cover_by_leaf(gamma, delta, 1, CoverVector((1, 0), 1))
     with pytest.raises(LengthMismatchError):
         extend_cover_by_leaf(gamma, delta, 2, CoverVector((1, 0, 0), 1))
+    # a fractional order or entry would place a fractional deficit
+    with pytest.raises(ValueError, match="cover order must be an integer"):
+        extend_cover_by_leaf(gamma, delta, 2, CoverVector((1, 1), 2.5))
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        extend_cover_by_leaf(gamma, delta, 2, CoverVector((1.5, 1), 2))
     tri = new_complex([{1, 2}, {2, 3}, {1, 3}, {3, 4}])
     with pytest.raises(NotALeafError):
         extend_cover_by_leaf(

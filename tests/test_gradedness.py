@@ -104,6 +104,19 @@ def test_cross_validation_agrees_on_named_complexes():
 def test_cross_validation_rejects_non_quasi_tree():
     with pytest.raises(NotQuasiTreeError):
         cross_validate(new_complex([{1, 2}, {2, 3}, {1, 3}]), 2)
+    # the criterion's answer still comes before the bound's range check
+    with pytest.raises(NotQuasiTreeError):
+        cross_validate(new_complex([{1, 2}, {2, 3}, {1, 3}]), 1)
+
+
+def test_bounds_must_be_integers():
+    for bad in (2.5, 3.0, None, True):
+        with pytest.raises(ValueError, match="k_max must be an integer"):
+            brute_force_verdict(delta_n(3), bad)
+        with pytest.raises(ValueError, match="k_max must be an integer"):
+            cross_validate(delta_n(3), bad)
+    with pytest.raises(ValueError, match="k_max must be at least 2"):
+        cross_validate(delta_n(3), 1)
 
 
 def test_smd_sweep_is_consistent():
