@@ -75,3 +75,27 @@ def build_small_complex_corpus(count=500, max_facets=5, max_pool=7):
         out.append(new_complex([{relabel[v] for v in f} for f in maximal]))
         if len(out) == count:
             return out
+
+
+def bipartite_satellite_tree(p, q):
+    """Central facet P ∪ Q plus one satellite {x, y, private} per x in P, y in Q.
+
+    P = 1..p, Q = p+1..p+q, and the private vertices follow in row order.
+    A standard-graded quasi-tree whose satellites form a bipartite graph, so
+    the cycle search has many even paths to try and no special odd cycle.
+    """
+    centre = range(1, p + q + 1)
+    pairs = itertools.product(range(1, p + 1), range(p + 1, p + q + 1))
+    satellites = [{x, y, p + q + i} for i, (x, y) in enumerate(pairs, 1)]
+    return new_complex([set(centre), *satellites])
+
+
+def satellite_ring(r):
+    """Centre {1..r} plus satellites {i, i mod r + 1, r + i} for i = 1..r.
+
+    The satellites close a ring of length r around the centre, which is a
+    special odd cycle exactly when r is odd.
+    """
+    return new_complex(
+        [set(range(1, r + 1))] + [{i, i % r + 1, r + i} for i in range(1, r + 1)]
+    )

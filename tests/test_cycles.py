@@ -1,5 +1,8 @@
 """Cycle validity, specialness, and the canonical backtracking search."""
 
+import hashlib
+import json
+
 import pytest
 
 from qcover import (
@@ -10,11 +13,13 @@ from qcover import (
     enumerate_cycles,
     find_special_odd_cycle,
     is_cycle,
+    is_quasi_tree,
     is_special_cycle,
     new_complex,
 )
 from qcover.families import delta_n, double_fan
 
+from corpus import bipartite_satellite_tree, satellite_ring
 from oracles import oracle_special_odd_cycle_exists
 
 TRIANGLE = new_complex([{1, 2}, {2, 3}, {1, 3}])
@@ -131,3 +136,80 @@ def test_budget_aborts_loudly():
             pass
     with pytest.raises(BudgetExceededError):
         find_special_odd_cycle(delta_n(5), budget=2)
+
+
+# (only_special, odd_only, total yields, sha256 of json.dumps of every
+# complex's yields as [vertices, facets] lists); recorded before the search
+# kept its path state in the vertex set alone
+PINNED_YIELDS = [
+    (False, False, 3976, "11b36e99fa9fbe2924fe00805bb5b2fd847571293c768cd64d3c65958bc901dd"),
+    (False, True, 2103, "fd82af8cda0e571c9e964dbbb5a98ff0bd3b8ced373d4d220a0291b38ee6b501"),
+    (True, False, 706, "4475390edc501f5a14327eaf26681b8d23f55e8c1ac14d07822403c757a8b637"),
+    (True, True, 116, "2e4ab9063423df88e227d07663b621cd195278d14d470a0c902238ed83acefda"),
+]
+
+
+@pytest.fixture(scope="module")
+def yield_corpus(quasi_tree_corpus, small_complex_corpus):
+    extra = [delta_n(3), delta_n(4), delta_n(5), double_fan()]
+    return [*quasi_tree_corpus, *small_complex_corpus, *extra]
+
+
+@pytest.mark.parametrize(
+    "only_special, odd_only, count, digest",
+    PINNED_YIELDS,
+    ids=[f"special{int(s)}-odd{int(o)}" for s, o, *_ in PINNED_YIELDS],
+)
+def test_enumeration_yields_are_pinned(yield_corpus, only_special, odd_only, count, digest):
+    assert len(yield_corpus) == 712
+    listed = [
+        [[list(c.vertices), list(c.facets)] for c in enumerate_cycles(
+            cx, only_special=only_special, odd_only=odd_only
+        )]
+        for cx in yield_corpus
+    ]
+    assert sum(map(len, listed)) == count
+    assert hashlib.sha256(json.dumps(listed).encode()).hexdigest() == digest
+
+
+def _finishes(cx, budget, **modes):
+    try:
+        for _ in enumerate_cycles(cx, budget=budget, **modes):
+            pass
+    except BudgetExceededError:
+        return False
+    return True
+
+
+# (name, complex, special-odd nodes, all-cycle nodes or None where too many)
+PINNED_NODES = [
+    ("delta3", delta_n(3), 11, 15),
+    ("delta4", delta_n(4), 30, 162),
+    ("fan", double_fan(), 14, 20),
+    ("ring5", satellite_ring(5), 29, 83),
+    ("ring6", satellite_ring(6), 41, 161),
+    ("bipartite4", bipartite_satellite_tree(4, 4), 724, None),
+    ("bipartite5", bipartite_satellite_tree(5, 5), 13090, None),
+]
+
+
+@pytest.mark.parametrize(
+    "cx, special_odd, every", [row[1:] for row in PINNED_NODES], ids=[row[0] for row in PINNED_NODES]
+)
+def test_node_counts_are_pinned(cx, special_odd, every):
+    # a budget of N expansions finishes the search and N - 1 runs out
+    for nodes, modes in (
+        (special_odd, {"only_special": True, "odd_only": True}),
+        (every, {}),
+    ):
+        if nodes is not None:
+            assert _finishes(cx, nodes, **modes)
+            assert not _finishes(cx, nodes - 1, **modes)
+
+
+def test_satellite_families_are_quasi_trees_with_known_verdicts():
+    for cx in (satellite_ring(5), satellite_ring(6), bipartite_satellite_tree(4, 4)):
+        assert is_quasi_tree(cx)
+    assert find_special_odd_cycle(satellite_ring(5)).vertices == (1, 2, 3, 4, 5)
+    assert find_special_odd_cycle(satellite_ring(6)) is None
+    assert find_special_odd_cycle(bipartite_satellite_tree(4, 4)) is None
