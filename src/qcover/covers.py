@@ -50,7 +50,6 @@ against an unoptimized oracle:
 
 from __future__ import annotations
 
-import operator
 from typing import NamedTuple, Optional, Sequence
 
 from .complexes import SimplicialComplex
@@ -63,6 +62,7 @@ from .errors import (
     NotQuasiTreeError,
     NotSpecialOddCycleError,
     VerificationFailedError,
+    check_order,
 )
 from .quasiforest import (
     RelationTree,
@@ -122,24 +122,6 @@ def _check_vector(cx: SimplicialComplex, a: Sequence[int]) -> tuple[int, ...]:
     return vec
 
 
-def _check_order(k: int, least: Optional[int] = 0, name: str = "cover order") -> int:
-    """k as an int, raising ValueError for a bool, a non-integer or k < least.
-
-    ``least=None`` checks the type alone.
-    """
-    try:
-        if isinstance(k, bool):
-            raise TypeError
-        k = operator.index(k)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer") from None
-    if least is not None and k < least:
-        raise ValueError(
-            f"{name} must be " + ("nonnegative" if least == 0 else f"at least {least}")
-        )
-    return k
-
-
 def cover_order(cx: SimplicialComplex, a: Sequence[int]) -> int:
     """Largest k for which a is a k-cover: the minimal facet sum."""
     vec = _check_vector(cx, a)
@@ -147,7 +129,7 @@ def cover_order(cx: SimplicialComplex, a: Sequence[int]) -> int:
 
 
 def is_k_cover(cx: SimplicialComplex, a: Sequence[int], k: int) -> bool:
-    k = _check_order(k)
+    k = check_order(k)
     return cover_order(cx, a) >= k
 
 
@@ -246,7 +228,7 @@ def decompose_cover(
     summand over the componentwise box 0 <= b <= a.
     """
     vec = _check_vector(cx, a)
-    k = _check_order(k)
+    k = check_order(k)
     fpos = _facet_positions(cx)
     sums = [sum(vec[p] for p in f) for f in fpos]
     if min(sums) < k:
@@ -283,12 +265,12 @@ def indecomposable_covers(cx: SimplicialComplex, k: int) -> list[CoverVector]:
     minimal k-cover, so no unit can be peeled from it, and each is decided
     exactly by :func:`_lex_first_split` with its order floor set to 1.
     """
-    return _indecomposables(cx, _check_order(k), False)
+    return _indecomposables(cx, check_order(k), False)
 
 
 def _first_indecomposable_cover(cx: SimplicialComplex, k: int) -> Optional[CoverVector]:
     """``indecomposable_covers(cx, k)[0]``, or None, without listing the rest."""
-    found = _indecomposables(cx, _check_order(k), True)
+    found = _indecomposables(cx, check_order(k), True)
     return found[0] if found else None
 
 
@@ -361,7 +343,7 @@ def max_generator_degree(
     each degree's walk.  Degrees above k_max are not explored; callers must
     report d as a bound-limited value.
     """
-    k_max = _check_order(k_max, 1, "k_max")
+    k_max = check_order(k_max, 1, "k_max")
     certificates: dict[int, CoverVector] = {}
     d = 0
     for k in range(1, k_max + 1):
@@ -422,7 +404,7 @@ def extend_cover_by_leaf(
             "cover vector does not match the reduced complex's vertex universe"
         )
     weight = dict(zip(gamma.active_vertices, _check_vector(gamma, cover.a)))
-    return _extend(weight, delta, gamma.facet_ids, (leaf,), _check_order(cover.k))
+    return _extend(weight, delta, gamma.facet_ids, (leaf,), check_order(cover.k))
 
 
 def witness_cover_from_cycle(

@@ -10,13 +10,16 @@ specialness.  (The stricter all-facets reading would wrongly disqualify
 cycles whose vertices happen to span some bystander facet, and those are
 exactly the cycles that matter for gradedness.)
 
-The search is exhaustive backtracking over alternating sequences with three
-prunes: vertices and facets stay distinct, specialness-so-far (a used facet
-holding three path vertices can never recover), and a canonical form that
-kills duplicates — every cycle is generated exactly once, started at its
-smallest vertex with the direction fixed by the smaller (second vertex,
-first facet) pair.  The search is worst-case exponential; a node budget
-aborts loudly instead of truncating silently.
+The search is exhaustive backtracking over alternating sequences.  Its one
+state is the path: its vertices, its facets and its vertex set.  Vertices
+and facets stay distinct; under ``only_special`` specialness-so-far is read
+from the vertex set, since every path facet already holds the two path
+vertices it joins: a facet holding two path vertices is not extended
+through, and a vertex in a path facet is not added.  A canonical form kills
+duplicates — every cycle is generated exactly once, started at its smallest
+vertex with the direction fixed by the smaller (second vertex, first facet)
+pair.  The search is worst-case exponential; a node budget aborts loudly
+instead of truncating silently.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .errors import (
     BudgetExceededError,
     LengthMismatchError,
     NotACycleError,
-    UnknownFacetIdError,
+    check_order,
 )
 
 DEFAULT_CYCLE_BUDGET = 10_000_000
@@ -109,8 +112,13 @@ def enumerate_cycles(
     Every cycle appears exactly once: the start vertex is its smallest
     vertex and the direction is fixed.  ``only_special`` prunes on
     specialness-so-far, ``odd_only`` restricts closures to odd length >= 3.
-    Raises BudgetExceededError after ``budget`` search node expansions.
+    Raises BudgetExceededError after ``budget`` node expansions (None: no
+    limit), and ValueError for a non-integer max_s or a negative budget.
     """
+    if max_s is not None:
+        check_order(max_s, None, "max_s")
+    if budget is not None:
+        check_order(budget, 0, "budget")
     ids = list(cx.facet_ids)
     facets_of: dict[int, list[int]] = {}
     for v in cx.active_vertices:
@@ -122,27 +130,20 @@ def enumerate_cycles(
     min_close = 3 if odd_only else 2
     if cap < min_close:
         return
-    spent = [0]
+    spent = 0
 
-    def tick() -> None:
-        spent[0] += 1
-        if budget is not None and spent[0] > budget:
+    def extend(
+        path_v: list[int], path_f: list[int], used_v: set[int]
+    ) -> Iterator[Cycle]:
+        nonlocal spent
+        spent += 1
+        if budget is not None and spent > budget:
             raise BudgetExceededError(
                 f"cycle search exceeded its budget of {budget} expansions"
             )
-
-    def extend(
-        path_v: list[int],
-        path_f: list[int],
-        used_v: set[int],
-        used_f: set[int],
-        counts: dict[int, int],
-    ) -> Iterator[Cycle]:
-        tick()
         start = path_v[0]
-        last = path_v[-1]
-        for fid in facets_of[last]:
-            if fid in used_f:
+        for fid in facets_of[path_v[-1]]:
+            if fid in path_f:
                 continue
             fverts = cx.facet(fid)
             inside = len(fverts & used_v)
@@ -156,35 +157,17 @@ def enumerate_cycles(
             ):
                 yield Cycle(tuple(path_v), tuple(path_f + [fid]))
             # extend the path
-            if len(path_v) == cap:
-                continue
-            if only_special and inside > 2:
+            if len(path_v) == cap or (only_special and inside >= 2):
                 continue
             for w in sorted(fverts):
                 if w <= start or w in used_v or len(facets_of[w]) < 2:
                     continue
-                if only_special:
-                    if inside + 1 > 2:
-                        continue
-                    if any(
-                        counts[g] + 1 > 2 for g in used_f if w in cx.facet(g)
-                    ):
-                        continue
-                new_counts = dict(counts)
-                new_counts[fid] = inside + 1
-                for g in used_f:
-                    if w in cx.facet(g):
-                        new_counts[g] += 1
-                yield from extend(
-                    path_v + [w],
-                    path_f + [fid],
-                    used_v | {w},
-                    used_f | {fid},
-                    new_counts,
-                )
+                if only_special and any(w in cx.facet(g) for g in path_f):
+                    continue
+                yield from extend(path_v + [w], path_f + [fid], used_v | {w})
 
     for start in candidates:
-        yield from extend([start], [], {start}, set(), {})
+        yield from extend([start], [], {start})
 
 
 def find_special_odd_cycle(

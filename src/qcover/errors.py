@@ -4,6 +4,9 @@ Every engine error derives from :class:`QcoverError` so callers (and the
 CLI) can distinguish domain failures from programming errors.
 """
 
+import operator
+from typing import Optional
+
 
 def echo(value: object) -> str:
     """``repr(value)`` for an error line, cut after 20 characters.
@@ -23,6 +26,24 @@ def echo(value: object) -> str:
         return repr(value)
     head = repr(text[:20]) if isinstance(value, str) else text[:20]
     return f"{head}... ({len(text)} characters)"
+
+
+def check_order(k: int, least: Optional[int] = 0, name: str = "cover order") -> int:
+    """k as an int, raising ValueError for a bool, a non-integer or k < least.
+
+    ``least=None`` checks the type alone.
+    """
+    try:
+        if isinstance(k, bool):
+            raise TypeError
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer") from None
+    if least is not None and k < least:
+        raise ValueError(
+            f"{name} must be " + ("nonnegative" if least == 0 else f"at least {least}")
+        )
+    return k
 
 
 class QcoverError(Exception):

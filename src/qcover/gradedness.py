@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .complexes import SimplicialComplex, smd
 from .cycles import Cycle, find_special_odd_cycle, DEFAULT_CYCLE_BUDGET
-from .errors import NotQuasiTreeError
+from .errors import NotQuasiTreeError, check_order
 from .quasiforest import (
     BranchRule,
     leaf_order,
@@ -88,9 +88,9 @@ def brute_force_verdict(cx: SimplicialComplex, k_max: int) -> Verdict:
     standard gradedness exactly; finding none only certifies it up to the
     bound, which the verdict records in ``bound_used``.
     """
-    from .covers import _check_order, _first_indecomposable_cover
+    from .covers import _first_indecomposable_cover
 
-    k_max = _check_order(k_max, 2, "k_max")
+    k_max = check_order(k_max, 2, "k_max")
     for k in range(2, k_max + 1):
         found = _first_indecomposable_cover(cx, k)
         if found is not None:
@@ -152,10 +152,10 @@ def cross_validate(
     generator exist; a degree-2 generator without a cycle in the same
     subcomplex is flagged inconsistent.
     """
-    from .covers import _check_order, _first_indecomposable_cover
+    from .covers import _first_indecomposable_cover
 
     # type only: a non-quasi-tree raises NotQuasiTreeError before any bound check
-    _check_order(k_max, None, "k_max")
+    check_order(k_max, None, "k_max")
     crit = is_standard_graded(cx, branch_rule=branch_rule)
     brute = brute_force_verdict(cx, k_max)
     sweep = None

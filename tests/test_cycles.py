@@ -138,6 +138,39 @@ def test_budget_aborts_loudly():
         find_special_odd_cycle(delta_n(5), budget=2)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"max_s": 3.5},
+        {"max_s": True},
+        {"max_s": "3"},
+        {"budget": "x"},
+        {"budget": True},
+        {"budget": 2.0},
+        {"budget": -1},
+    ],
+    ids=["max_s-fraction", "max_s-bool", "max_s-str", "budget-str", "budget-bool",
+         "budget-float", "budget-negative"],
+)
+def test_bounds_must_be_integers(kwargs):
+    with pytest.raises(ValueError):
+        list(enumerate_cycles(delta_n(4), **kwargs))
+    if "budget" in kwargs:
+        with pytest.raises(ValueError):
+            find_special_odd_cycle(delta_n(4), budget=kwargs["budget"])
+
+
+def test_integer_bounds_are_kept():
+    short = list(enumerate_cycles(delta_n(4), max_s=3))
+    assert len(short) == 70 and max(c.s for c in short) == 3
+    assert len(list(enumerate_cycles(delta_n(4), max_s=0))) == 0
+    assert len(list(enumerate_cycles(delta_n(4), budget=None))) == len(
+        list(enumerate_cycles(delta_n(4), budget=162))
+    )
+    assert find_special_odd_cycle(delta_n(4), budget=None) is not None
+    assert find_special_odd_cycle(new_complex([{1, 2}]), budget=0) is None
+
+
 # (only_special, odd_only, total yields, sha256 of json.dumps of every
 # complex's yields as [vertices, facets] lists); recorded before the search
 # kept its path state in the vertex set alone
