@@ -164,9 +164,6 @@ def test_integer_bounds_are_kept():
     short = list(enumerate_cycles(delta_n(4), max_s=3))
     assert len(short) == 70 and max(c.s for c in short) == 3
     assert len(list(enumerate_cycles(delta_n(4), max_s=0))) == 0
-    assert len(list(enumerate_cycles(delta_n(4), budget=None))) == len(
-        list(enumerate_cycles(delta_n(4), budget=162))
-    )
     assert find_special_odd_cycle(delta_n(4), budget=None) is not None
     assert find_special_odd_cycle(new_complex([{1, 2}]), budget=0) is None
 
@@ -227,7 +224,9 @@ PINNED_NODES = [
 
 
 @pytest.mark.parametrize(
-    "cx, special_odd, every", [row[1:] for row in PINNED_NODES], ids=[row[0] for row in PINNED_NODES]
+    "cx, special_odd, every",
+    [row[1:] for row in PINNED_NODES],
+    ids=[row[0] for row in PINNED_NODES],
 )
 def test_node_counts_are_pinned(cx, special_odd, every):
     # a budget of N expansions finishes the search and N - 1 runs out
