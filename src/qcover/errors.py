@@ -46,6 +46,14 @@ def check_order(k: int, least: Optional[int] = 0, name: str = "cover order") -> 
     return k
 
 
+def check_seed(seed: int) -> int:
+    """seed as an int, raising ValueError for a bool, a non-integer or seed < 0."""
+    try:
+        return check_order(seed, 0, "seed")
+    except ValueError:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}") from None
+
+
 class QcoverError(Exception):
     """Base class for all qcover errors."""
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .complexes import SimplicialComplex, new_complex
-from .errors import NTooSmallError
+from .errors import NTooSmallError, check_order, check_seed
 
 
 def delta_n(n: int) -> SimplicialComplex:
@@ -50,12 +50,9 @@ class GeneratorSeed(_GeneratorSeedFields):
     __slots__ = ()
 
     def __new__(cls, seed: int, num_facets: int, max_facet_size: int) -> GeneratorSeed:
-        if not isinstance(seed, int) or seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-        if num_facets < 1:
-            raise ValueError("num_facets must be at least 1")
-        if max_facet_size < 1:
-            raise ValueError("max_facet_size must be at least 1")
+        seed = check_seed(seed)
+        num_facets = check_order(num_facets, 1, "num_facets")
+        max_facet_size = check_order(max_facet_size, 1, "max_facet_size")
         if num_facets > 1 and max_facet_size < 2:
             raise ValueError(
                 "size-1 facets cannot attach to each other; "

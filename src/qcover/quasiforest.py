@@ -34,6 +34,7 @@ from .errors import (
     InvalidLeafOrderError,
     NotAPermutationError,
     UnknownNodeError,
+    check_seed,
     echo,
 )
 
@@ -52,8 +53,7 @@ def max_branch_rule(leaf: int, branches: tuple[int, ...]) -> int:
 
 def random_branch_rule(seed: int) -> BranchRule:
     """Seed-stable branch rule (PCG64); same seed, same choices."""
-    if not isinstance(seed, int) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    seed = check_seed(seed)
     import numpy as np
 
     rng = np.random.Generator(np.random.PCG64(seed))

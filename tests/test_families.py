@@ -96,6 +96,37 @@ def test_generator_seed_validation():
     assert random_quasi_tree(GeneratorSeed(0, 1, 1)).facets == (frozenset({1}),)
 
 
+@pytest.mark.parametrize(
+    "fields, name",
+    [
+        ((1, 2.5, 3), "num_facets"),
+        ((1, 3, 2.5), "max_facet_size"),
+        ((True, 3, 3), "seed"),
+        ((1, True, 3), "num_facets"),
+        ((1, 3, True), "max_facet_size"),
+        ((1, "3", 3), "num_facets"),
+        ((1, 3, None), "max_facet_size"),
+    ],
+)
+def test_generator_seed_fields_must_be_integers(fields, name):
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        GeneratorSeed(*fields)
+
+
+def test_generator_seed_keeps_its_range_messages():
+    with pytest.raises(ValueError, match="^num_facets must be at least 1$"):
+        GeneratorSeed(0, 0, 3)
+    with pytest.raises(ValueError, match="^max_facet_size must be at least 1$"):
+        GeneratorSeed(0, 1, 0)
+    with pytest.raises(ValueError, match="^size-1 facets cannot attach"):
+        GeneratorSeed(0, 2, 1)
+    with pytest.raises(ValueError, match="^seed must be a nonnegative integer, got True$"):
+        GeneratorSeed(True, 3, 3)
+    for bad in (True, 2.0, "0", -1):
+        with pytest.raises(ValueError, match="^seed must be a nonnegative integer"):
+            random_branch_rule(bad)
+
+
 def test_random_quasi_tree_stream_is_pinned():
     # PCG64 draws recorded once; every seeded corpus depends on this stream
     cx = random_quasi_tree(GeneratorSeed(7, 5, 4))
