@@ -68,32 +68,33 @@ class GeneratorSeed(_GeneratorSeedFields):
 def random_quasi_tree(g: GeneratorSeed) -> SimplicialComplex:
     """Random quasi-tree, identical for identical seeds.
 
-    Randomness comes from numpy's PCG64 stream, so outputs are stable
-    across releases.  Construction attaches one facet at a time: the new
+    The draws are numpy's ``Generator(PCG64(seed))`` stream, reproduced in
+    pure Python by :mod:`qcover._pcg64` and checked against numpy in the
+    tests, so outputs are stable across releases and need no numpy.
+    Construction attaches one facet at a time: the new
     facet intersects the existing complex inside a single existing facet
     (making it a leaf at attach time) and brings at least one fresh vertex
     (keeping the antichain).  The output is a quasi-tree by construction,
     and every facet size is drawn uniformly from 2..max_facet_size.
     """
-    import numpy as np
+    from ._pcg64 import PCG64
 
-    rng = np.random.Generator(np.random.PCG64(g.seed))
+    rng = PCG64(g.seed)
     lo = min(2, g.max_facet_size)
 
     def draw_size() -> int:
-        return int(rng.integers(lo, g.max_facet_size + 1))
+        return rng.integers(lo, g.max_facet_size + 1)
 
     first = draw_size()
     facets: list[set[int]] = [set(range(1, first + 1))]
     next_label = first + 1
     while len(facets) < g.num_facets:
-        host = facets[int(rng.integers(0, len(facets)))]
+        host = facets[rng.integers(0, len(facets))]
         size = draw_size()
         t_max = min(len(host) - 1, size - 1)
-        t = int(rng.integers(1, t_max + 1))
+        t = rng.integers(1, t_max + 1)
         host_sorted = sorted(host)
-        picked = rng.choice(len(host_sorted), size=t, replace=False)
-        inter = {host_sorted[i] for i in sorted(int(x) for x in picked)}
+        inter = {host_sorted[i] for i in rng.choice(len(host_sorted), t)}
         fresh = set(range(next_label, next_label + (size - t)))
         next_label += size - t
         facets.append(inter | fresh)

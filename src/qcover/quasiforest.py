@@ -52,14 +52,18 @@ def max_branch_rule(leaf: int, branches: tuple[int, ...]) -> int:
 
 
 def random_branch_rule(seed: int) -> BranchRule:
-    """Seed-stable branch rule (PCG64); same seed, same choices."""
-    seed = check_seed(seed)
-    import numpy as np
+    """Seed-stable branch rule; same seed, same choices.
 
-    rng = np.random.Generator(np.random.PCG64(seed))
+    The choices are drawn from numpy's PCG64 stream, reproduced in pure
+    Python by :mod:`qcover._pcg64` and checked against numpy in the tests.
+    """
+    seed = check_seed(seed)
+    from ._pcg64 import PCG64
+
+    rng = PCG64(seed)
 
     def rule(leaf: int, branches: tuple[int, ...]) -> int:
-        return int(branches[rng.integers(0, len(branches))])
+        return branches[rng.integers(0, len(branches))]
 
     return rule
 

@@ -268,6 +268,33 @@ def test_cli_import_leaves_numpy_unloaded(fresh_python):
     assert out.strip() == "False"
 
 
+def test_cli_import_leaves_the_pcg64_port_unloaded(fresh_python):
+    probe = "import sys, qcover.cli; print('qcover._pcg64' in sys.modules)"
+    out = fresh_python(["-c", probe], check=True).stdout
+    assert out.strip() == "False"
+
+
+def test_families_import_leaves_numpy_unloaded(fresh_python):
+    probe = "import sys, qcover.families; print('numpy' in sys.modules)"
+    out = fresh_python(["-c", probe], check=True).stdout
+    assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("command", ["gen", "verify"])
+def test_random_draws_leave_numpy_unloaded(fresh_python, tmp_path, command):
+    path = tmp_path / "cx.json"
+    gen = ["gen", "random", "--seed", "3", "--facets", "10", "--out", str(path)]
+    if command == "verify":
+        assert main(gen) == 0
+    argv = gen if command == "gen" else ["verify", str(path), "--seed", "5", "--k-max", "2"]
+    probe = (
+        f"import sys; from qcover.cli import main; code = main({argv!r}); "
+        "print(code, sorted({'numpy', 'qcover._pcg64'} & set(sys.modules)), file=sys.stderr)"
+    )
+    proc = fresh_python(["-c", probe])
+    assert proc.stderr == "0 ['qcover._pcg64']\n"
+
+
 def test_import_loads_no_dataclasses_inspect_or_numpy(fresh_python):
     probe = (
         "import sys, qcover, qcover.cli; "
@@ -282,7 +309,7 @@ def without_timing(out):
 
 
 # modules a check loads only when its verdict needs them
-LAZY = ("qcover.covers", "qcover.families", "_hashlib")
+LAZY = ("qcover.covers", "qcover.families", "qcover._pcg64", "numpy", "_hashlib")
 # input -> (exit code, which of LAZY the check loads)
 LEAN_CASES = {
     "delta3": (lambda: delta_n(3), 10, ["qcover.covers"]),

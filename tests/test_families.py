@@ -3,6 +3,7 @@ import pytest
 from qcover import (
     GeneratorSeed,
     NTooSmallError,
+    TooManyVerticesError,
     find_special_odd_cycle,
     is_cycle,
     is_quasi_tree,
@@ -11,6 +12,7 @@ from qcover import (
     random_branch_rule,
     validate_leaf_order,
 )
+from qcover._pcg64 import PCG64
 from qcover.cycles import Cycle
 from qcover.families import delta_n, double_fan, random_quasi_tree
 
@@ -137,3 +139,95 @@ def test_random_quasi_tree_stream_is_pinned():
         [4, 7],
         [4, 8],
     ]
+
+
+# --- the pure-Python PCG64 port against numpy ---------------------------------
+
+PORT_SEEDS = [*range(64), 2**31, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64 + 1, 2**130 + 12345]
+
+
+@pytest.fixture(scope="module")
+def np():
+    import numpy
+
+    return numpy
+
+
+def numpy_generator(np, seed):
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+@pytest.mark.parametrize("seed", PORT_SEEDS)
+def test_port_next64_is_numpys_raw_stream(np, seed):
+    port = PCG64(seed)
+    want = np.random.PCG64(seed).random_raw(40).tolist()
+    assert [port.next64() for _ in range(40)] == want
+
+
+@pytest.mark.parametrize("seed", PORT_SEEDS[::6])
+def test_port_integers_match_numpy(np, seed):
+    # the generator draws from lo..hi-1 with lo in {0, 1, 2}; a one-value range
+    # (max_facet_size 1, a single host, t_max 1) draws nothing on either side
+    port, ref = PCG64(seed), numpy_generator(np, seed)
+    ranges = [(lo, lo + w) for lo in (0, 1, 2) for w in (*range(1, 66), 1000, 2**32)]
+    got = [port.integers(lo, hi) for lo, hi in ranges for _ in range(3)]
+    assert got == [int(ref.integers(lo, hi)) for lo, hi in ranges for _ in range(3)]
+    assert port.next64() == int(ref.bit_generator.random_raw())
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 + 1])
+def test_port_choice_matches_numpy(np, seed):
+    port, ref = PCG64(seed), numpy_generator(np, seed)
+    pairs = [(pop, size) for pop in range(1, 65) for size in range(1, pop + 1)]
+    got = [port.choice(pop, size) for pop, size in pairs]
+    assert got == [ref.choice(pop, size=size, replace=False).tolist() for pop, size in pairs]
+    assert port.next64() == int(ref.bit_generator.random_raw())
+
+
+def test_port_refuses_what_it_does_not_reproduce():
+    port = PCG64(5)
+    with pytest.raises(ValueError, match="pop <= 10000"):
+        port.choice(10001, 1)  # numpy takes a tail-shuffle branch past 10000
+    with pytest.raises(ValueError):
+        port.choice(3, 4)
+    with pytest.raises(ValueError):
+        port.integers(2, 2)
+    with pytest.raises(ValueError):
+        port.integers(0, 2**32 + 1)
+    assert port.next64() == PCG64(5).next64()  # none of the refusals drew
+
+
+def numpy_quasi_tree_facets(np, g):
+    """random_quasi_tree's construction with numpy's generator, facets as drawn."""
+    rng = numpy_generator(np, g.seed)
+    lo = min(2, g.max_facet_size)
+    first = int(rng.integers(lo, g.max_facet_size + 1))
+    facets = [set(range(1, first + 1))]
+    next_label = first + 1
+    while len(facets) < g.num_facets:
+        host = sorted(facets[int(rng.integers(0, len(facets)))])
+        size = int(rng.integers(lo, g.max_facet_size + 1))
+        t = int(rng.integers(1, min(len(host) - 1, size - 1) + 1))
+        picked = rng.choice(len(host), size=t, replace=False)
+        facets.append({host[i] for i in picked.tolist()} | set(range(next_label, next_label + size - t)))
+        next_label += size - t
+    return facets
+
+
+def test_random_quasi_trees_match_numpy_on_the_check_universe(np):
+    for s in range(3000):
+        g = GeneratorSeed(s, 6 + s % 30, 2 + s % 7)
+        want = sorted(sorted(f) for f in numpy_quasi_tree_facets(np, g))
+        if max(max(f) for f in want) > 64:
+            with pytest.raises(TooManyVerticesError):
+                random_quasi_tree(g)
+        else:
+            assert sorted(sorted(f) for f in random_quasi_tree(g).facets) == want, s
+
+
+@pytest.mark.parametrize("seed", [0, 1, 99, 2**40])
+def test_random_branch_rule_matches_numpy(np, seed):
+    rule, ref = random_branch_rule(seed), numpy_generator(np, seed)
+    branches = [tuple(range(10, 10 + n)) for n in (1, 2, 3, 5, 8, 13) for _ in range(20)]
+    got = [rule(0, b) for b in branches]
+    assert got == [b[int(ref.integers(0, len(b)))] for b in branches]
