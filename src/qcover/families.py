@@ -71,10 +71,10 @@ def random_quasi_tree(g: GeneratorSeed) -> SimplicialComplex:
     The draws are numpy's ``Generator(PCG64(seed))`` stream, reproduced in
     pure Python by :mod:`qcover._pcg64` and checked against numpy in the
     tests, so outputs are stable across releases and need no numpy.
-    Construction attaches one facet at a time: the new
-    facet intersects the existing complex inside a single existing facet
-    (making it a leaf at attach time) and brings at least one fresh vertex
-    (keeping the antichain).  The output is a quasi-tree by construction,
+    Construction attaches one facet at a time: the new facet intersects
+    the existing complex inside a single existing facet (making it a leaf
+    at attach time) and brings at least one fresh vertex (keeping the
+    antichain).  The output is a quasi-tree by construction,
     and every facet size is drawn uniformly from 2..max_facet_size.
     """
     from ._pcg64 import PCG64
