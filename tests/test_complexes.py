@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from qcover import (
@@ -127,3 +130,21 @@ def test_smd_dimension_bounded_by_parent(small_complex_corpus):
         ids = list(cx.facet_ids)
         view = smd(cx, ids[: max(1, len(ids) // 2)])
         assert view.dimension() <= cx.dimension()
+
+
+# (corpus fixture, count, sha256 of json.dumps of every complex's sorted
+# facet lists); a change of random source must draw the same corpora
+PINNED_CORPORA = [
+    ("quasi_tree_corpus", 208, "bace93258a3acc0ccb220a6b25a2ef25629709a93f47cb379e8e7ac201642bfe"),
+    ("small_complex_corpus", 500, "3967d9ddb390b6bafb4cb39b346edbf204b86399c017c5a91f4548658afac969"),
+]
+
+
+@pytest.mark.parametrize(
+    "corpus, count, digest", PINNED_CORPORA, ids=[row[0] for row in PINNED_CORPORA]
+)
+def test_seeded_corpora_are_pinned(request, corpus, count, digest):
+    complexes = request.getfixturevalue(corpus)
+    assert len(complexes) == count
+    listed = [[sorted(f) for f in cx.facets] for cx in complexes]
+    assert hashlib.sha256(json.dumps(listed).encode()).hexdigest() == digest
