@@ -3,7 +3,9 @@
 A complex is stored through its facets only (the inclusion-maximal faces),
 as an antichain of vertex sets on dense labels 1..n.  Facets are kept both
 as frozensets and as bit masks, so intersection tests cost one AND; the
-engine caps n at 64 labels, which covers desk scale.
+engine caps n at 64 labels, which covers desk scale.  The vertex-facet
+incidence (``positions`` and ``facets_at``) is built with the masks, so
+the cover walks and the cycle search share it.
 
 Facet ids are 1-based positions in the canonical facet order (lexicographic
 on the sorted vertex lists).  Identical facet collections therefore get
@@ -50,7 +52,10 @@ class SimplicialComplex:
     which selects all of its facets), ``vertex_count`` is the root's label
     range 1..n, and ``facets``/``masks`` list the selected facets in
     ``facet_ids`` order.  ``active_vertices`` are the labels the selected
-    facets use, ascending.
+    facets use, ascending.  ``positions[j]`` lists the positions in
+    ``active_vertices`` of the vertices of ``facets[j]`` and ``facets_at[p]``
+    the indices j of the facets through ``active_vertices[p]``, both
+    ascending and, on an :func:`smd` view, local to the view.
 
     Instances are immutable after construction and safe to share between
     threads.  Construct a root via :func:`new_complex` (or directly; the
@@ -65,6 +70,8 @@ class SimplicialComplex:
         "facets",
         "masks",
         "active_vertices",
+        "positions",
+        "facets_at",
         "_id_mask",
     )
 
@@ -130,6 +137,13 @@ class SimplicialComplex:
         self.active_vertices = tuple(
             v for v in range(1, n + 1) if used >> (v - 1) & 1
         )
+        pos = {v: p for p, v in enumerate(self.active_vertices)}
+        self.positions = tuple(tuple(sorted(pos[v] for v in f)) for f in facets)
+        at: list[list[int]] = [[] for _ in pos]
+        for j, f in enumerate(self.positions):
+            for p in f:
+                at[p].append(j)
+        self.facets_at = tuple(map(tuple, at))
         self._id_mask = _mask_of(ids)
 
     # -- ids and lookups ------------------------------------------------

@@ -89,20 +89,6 @@ class Decomposition(NamedTuple):
     c: CoverVector
 
 
-def _facet_positions(cx: SimplicialComplex) -> list[tuple[int, ...]]:
-    pos = {v: i for i, v in enumerate(cx.active_vertices)}
-    return [tuple(sorted(pos[v] for v in f)) for f in cx.facets]
-
-
-def _facets_at(fpos: list[tuple[int, ...]], n: int) -> list[list[int]]:
-    """Per vertex position, the indices of the facets through it."""
-    at: list[list[int]] = [[] for _ in range(n)]
-    for j, f in enumerate(fpos):
-        for p in f:
-            at[p].append(j)
-    return at
-
-
 _NOT_INTEGRAL = "cover vectors must be nonnegative integers"
 
 
@@ -125,7 +111,7 @@ def _check_vector(cx: SimplicialComplex, a: Sequence[int]) -> tuple[int, ...]:
 def cover_order(cx: SimplicialComplex, a: Sequence[int]) -> int:
     """Largest k for which a is a k-cover: the minimal facet sum."""
     vec = _check_vector(cx, a)
-    return min(sum(vec[p] for p in f) for f in _facet_positions(cx))
+    return min(sum(vec[p] for p in f) for f in cx.positions)
 
 
 def is_k_cover(cx: SimplicialComplex, a: Sequence[int], k: int) -> bool:
@@ -137,7 +123,7 @@ def is_k_cover(cx: SimplicialComplex, a: Sequence[int], k: int) -> bool:
 
 
 def _lex_first_split(
-    a: tuple[int, ...], k: int, facets_at: list[list[int]], sums: list[int], floor: int
+    a: tuple[int, ...], k: int, cx: SimplicialComplex, sums: list[int], floor: int
 ) -> Optional[tuple[int, ...]]:
     """Lexicographically first b with 0 < b < a splitting a at order k.
 
@@ -146,8 +132,8 @@ def _lex_first_split(
     An ordered DFS tries ascending values on the support of a (zero entries
     of b stay 0, which leaves the lexicographic order intact) and drops a
     prefix as soon as the order b can still reach plus the order a - b can
-    still keep falls below k.  ``facets_at`` comes from :func:`_facets_at`
-    and ``sums`` holds a's facet sums.
+    still keep falls below k.  ``sums`` holds a's facet sums in the order
+    of ``cx.facets``, and ``cx.facets_at`` gives the facets through a vertex.
 
     Running minima: per facet j the walk keeps reach[j], b's weight on j
     plus a's weight on j's open slots, and keep[j], the weight a - b keeps
@@ -170,6 +156,7 @@ def _lex_first_split(
     :func:`indecomposable_covers` passes 1 without a scan.
     """
     sup = [t for t, x in enumerate(a) if x > 0]
+    facets_at = cx.facets_at
     reach = list(sums)
     keep = list(sums)
     b = [0] * len(a)
@@ -229,16 +216,15 @@ def decompose_cover(
     """
     vec = _check_vector(cx, a)
     k = check_order(k)
-    fpos = _facet_positions(cx)
+    fpos, facets_at = cx.positions, cx.facets_at
     sums = [sum(vec[p] for p in f) for f in fpos]
     if min(sums) < k:
         raise NotAKCoverError(f"{list(vec)} is not a {k}-cover")
-    facets_at = _facets_at(fpos, len(vec))
     # a weighted vertex with every facet above k is a unit that peels off
     peelable = any(
         x and all(sums[j] > k for j in facets_at[t]) for t, x in enumerate(vec)
     )
-    b = _lex_first_split(vec, k, facets_at, sums, 0 if peelable else 1)
+    b = _lex_first_split(vec, k, cx, sums, 0 if peelable else 1)
     if b is None:
         return None
     c = tuple(x - y for x, y in zip(vec, b))
@@ -280,8 +266,7 @@ def _indecomposables(cx: SimplicialComplex, k: int, first: bool) -> list[CoverVe
     if k == 0:
         units = [tuple(int(i == t) for i in range(n)) for t in reversed(range(n))]
         return [CoverVector(u, 0) for u in units[: 1 if first else n]]
-    fpos = _facet_positions(cx)
-    facets_at = _facets_at(fpos, n)
+    fpos, facets_at = cx.positions, cx.facets_at
     # the facets whose last vertex is t must have reached k once t is set
     closes = [[j for j in facets_at[t] if fpos[j][-1] == t] for t in range(n)]
     sums = [0] * len(fpos)
@@ -293,7 +278,7 @@ def _indecomposables(cx: SimplicialComplex, k: int, first: bool) -> list[CoverVe
         """Walk the vertices from t on; True once ``first`` has its hit."""
         if t == n:
             cand = tuple(a)
-            if _lex_first_split(cand, k, facets_at, sums, 1) is None:
+            if _lex_first_split(cand, k, cx, sums, 1) is None:
                 out.append(CoverVector(cand, k))
                 return first
             return False

@@ -119,10 +119,8 @@ def enumerate_cycles(
         check_order(max_s, None, "max_s")
     if budget is not None:
         check_order(budget, 0, "budget")
-    ids = list(cx.facet_ids)
-    facets_of: dict[int, list[int]] = {}
-    for v in cx.active_vertices:
-        facets_of[v] = [fid for fid in ids if v in cx.facet(fid)]
+    ids, at = cx.facet_ids, cx.facets_at
+    facets_of = {v: [ids[j] for j in at[p]] for p, v in enumerate(cx.active_vertices)}
     candidates = [v for v in cx.active_vertices if len(facets_of[v]) >= 2]
     cap = min(len(ids), len(candidates))
     if max_s is not None:
