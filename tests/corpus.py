@@ -8,14 +8,13 @@ from __future__ import annotations
 
 import itertools
 
-import numpy as np
-
 from qcover import (
     GeneratorSeed,
     find_special_odd_cycle,
     new_complex,
     random_quasi_tree,
 )
+from qcover._pcg64 import PCG64
 
 # draws of GeneratorSeed(s, 6 + s % 30, 2 + s % 7) with 30 to 64 vertices
 # and 12 to 35 facets, the upper part of the domain the engine accepts
@@ -57,18 +56,18 @@ def build_small_complex_corpus(count=500, max_facets=5, max_pool=7):
     """Arbitrary small facet antichains, quasi-forests and not.
 
     Random subsets of a small vertex pool, reduced to their maximal members
-    and relabelled densely.
+    and relabelled densely.  The draws are numpy's ``Generator(PCG64(seed))``
+    stream through qcover's pure-Python port.
     """
     out = []
     for seed in itertools.count():
-        rng = np.random.Generator(np.random.PCG64(seed))
-        pool = int(rng.integers(3, max_pool + 1))
-        m = int(rng.integers(1, max_facets + 1))
+        rng = PCG64(seed)
+        pool = rng.integers(3, max_pool + 1)
+        m = rng.integers(1, max_facets + 1)
         cand = []
         for _ in range(m):
-            size = int(rng.integers(1, min(4, pool) + 1))
-            picked = rng.choice(pool, size=size, replace=False)
-            cand.append(frozenset(int(v) + 1 for v in picked))
+            size = rng.integers(1, min(4, pool) + 1)
+            cand.append(frozenset(v + 1 for v in rng.choice(pool, size)))
         maximal = [f for f in set(cand) if not any(f < g for g in cand)]
         used = sorted(set().union(*maximal))
         relabel = {v: i + 1 for i, v in enumerate(used)}
