@@ -32,6 +32,7 @@ from .errors import (
     TooManyVerticesError,
     UncoveredVertexError,
     UnknownFacetIdError,
+    check_order,
     echo,
 )
 
@@ -137,9 +138,9 @@ class SimplicialComplex:
         self.active_vertices = tuple(
             v for v in range(1, n + 1) if used >> (v - 1) & 1
         )
-        pos = {v: p for p, v in enumerate(self.active_vertices)}
-        self.positions = tuple(tuple(sorted(pos[v] for v in f)) for f in facets)
-        at: list[list[int]] = [[] for _ in pos]
+        pos = {v: p for p, v in enumerate(self.active_vertices)}.__getitem__
+        self.positions = tuple(tuple(sorted(map(pos, f))) for f in facets)
+        at: list[list[int]] = [[] for _ in self.active_vertices]
         for j, f in enumerate(self.positions):
             for p in f:
                 at[p].append(j)
@@ -148,17 +149,24 @@ class SimplicialComplex:
 
     # -- ids and lookups ------------------------------------------------
 
-    def _check_id(self, fid: int) -> None:
+    def _check_id(self, fid: int) -> int:
+        """fid as an int, raising UnknownFacetIdError unless it is one of ours."""
+        if fid.__class__ is not int:  # the cycle search's ints skip this
+            try:
+                fid = check_order(fid, None)
+            except ValueError:  # a bool, a float, None, a string, ...
+                raise UnknownFacetIdError(
+                    f"facet id {echo(fid)} is not an integer"
+                ) from None
         if fid < 1 or not self._id_mask >> (fid - 1) & 1:
-            raise UnknownFacetIdError(f"facet id {fid} is not in the complex")
+            raise UnknownFacetIdError(f"facet id {echo(fid)} is not in the complex")
+        return fid
 
     def facet(self, fid: int) -> frozenset[int]:
-        self._check_id(fid)
-        return (self.parent or self).facets[fid - 1]
+        return (self.parent or self).facets[self._check_id(fid) - 1]
 
     def mask(self, fid: int) -> int:
-        self._check_id(fid)
-        return (self.parent or self).masks[fid - 1]
+        return (self.parent or self).masks[self._check_id(fid) - 1]
 
     # -- basic operations --------------------------------------------------
 
@@ -213,11 +221,9 @@ def smd(cx: SimplicialComplex, facet_ids: Iterable[int]) -> SimplicialComplex:
     The ids must belong to ``cx``; the result always roots at the original
     complex, so ids stay stable under nesting.
     """
-    ids = tuple(sorted(set(facet_ids)))
+    ids = tuple(sorted({cx._check_id(fid) for fid in facet_ids}))
     if not ids:
         raise EmptySelectionError("facet selection must be nonempty")
-    for fid in ids:
-        cx._check_id(fid)
     root = cx.parent or cx
     view = object.__new__(SimplicialComplex)
     view._select(

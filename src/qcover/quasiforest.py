@@ -34,6 +34,7 @@ from .errors import (
     InvalidLeafOrderError,
     NotAPermutationError,
     UnknownNodeError,
+    check_order,
     check_seed,
     echo,
 )
@@ -159,7 +160,11 @@ def _peel_order(
     cx: SimplicialComplex, seq: list[int]
 ) -> Iterator[tuple[Optional[int], tuple[int, ...]]]:
     """Peel a proposed leaf order from its last facet back to its first."""
-    if sorted(seq) != sorted(cx.facet_ids):
+    try:
+        ids = sorted(check_order(fid, None) for fid in seq)
+    except ValueError:  # a bool or a non-integer entry
+        ids = None
+    if ids != sorted(cx.facet_ids):
         raise NotAPermutationError(
             f"order {echo(seq)} is not a permutation of facet ids "
             f"{echo(list(cx.facet_ids))}"

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -15,7 +16,9 @@ from qcover import (
     smd,
 )
 from qcover.errors import echo
-from qcover.families import double_fan
+from qcover.families import GeneratorSeed, delta_n, double_fan, random_quasi_tree
+
+from corpus import LARGE_SEEDS
 
 
 def test_fan_complex_shape():
@@ -123,6 +126,77 @@ def test_smd_errors_and_nesting():
     assert nested.parent is cx
     with pytest.raises(UnknownFacetIdError):
         smd(smd(cx, [1, 2]), [3])
+
+
+class Index:
+    """An integer-like id that is not an int: it has ``__index__`` alone."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+# a bool or a non-integer id was taken as 1 or raised a bare TypeError
+@pytest.mark.parametrize(
+    "call, shown",
+    [
+        (lambda cx: cx.facet(1.5), "1.5"),
+        (lambda cx: cx.facet(True), "True"),
+        (lambda cx: cx.mask(None), "None"),
+        (lambda cx: smd(cx, [1.0]), "1.0"),
+        (lambda cx: smd(cx, ["a"]), "'a'"),
+        (lambda cx: smd(cx, [1, "a"]), "'a'"),
+    ],
+    ids=["facet-float", "facet-bool", "mask-none", "smd-float", "smd-str", "smd-mixed"],
+)
+def test_non_integer_facet_ids_are_unknown(call, shown):
+    with pytest.raises(UnknownFacetIdError) as err:
+        call(delta_n(3))
+    assert str(err.value) == f"facet id {shown} is not an integer"
+
+
+def test_facet_ids_with_index_are_taken_as_ints():
+    cx = delta_n(3)
+    assert cx.facet(Index(2)) == cx.facet(2)
+    assert cx.mask(Index(4)) == cx.mask(4)
+    assert smd(cx, [Index(2), 3]).facet_ids == (2, 3)
+    with pytest.raises(UnknownFacetIdError, match="facet id 5 is not in the complex"):
+        cx.facet(Index(5))
+    with pytest.raises(UnknownFacetIdError, match="<16610-bit integer> is not in"):
+        cx.facet(10**5000)
+
+
+def _incidence(cx):
+    """(positions, facets_at) recomputed by label search over the facets."""
+    universe = list(cx.active_vertices)
+    positions = tuple(tuple(universe.index(v) for v in sorted(f)) for f in cx.facets)
+    facets_at = tuple(
+        tuple(j for j, f in enumerate(cx.facets) if v in f) for v in universe
+    )
+    return positions, facets_at
+
+
+def test_incidence_matches_the_facets(quasi_tree_corpus, small_complex_corpus):
+    large = [
+        random_quasi_tree(GeneratorSeed(s, 6 + s % 30, 2 + s % 7)) for s in LARGE_SEEDS
+    ]
+    deltas = [delta_n(n) for n in range(3, 9)]
+    for cx in [*quasi_tree_corpus, *small_complex_corpus, *deltas, *large]:
+        assert (cx.positions, cx.facets_at) == _incidence(cx)
+
+
+def test_incidence_of_every_smd_view_is_local_to_the_view():
+    view = smd(double_fan(), [4])
+    assert view.active_vertices == (2, 3, 6)
+    assert view.positions == ((0, 1, 2),)
+    assert view.facets_at == ((0,), (0,), (0,))
+    for cx in (delta_n(3), double_fan()):
+        for r in range(1, len(cx.facet_ids) + 1):
+            for ids in itertools.combinations(cx.facet_ids, r):
+                view = smd(cx, ids)
+                assert (view.positions, view.facets_at) == _incidence(view)
 
 
 def test_smd_dimension_bounded_by_parent(small_complex_corpus):

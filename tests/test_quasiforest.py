@@ -8,6 +8,7 @@ from qcover import (
     InvalidLeafOrderError,
     NotAPermutationError,
     RelationTree,
+    UnknownFacetIdError,
     UnknownNodeError,
     branches_of,
     find_leaf,
@@ -112,6 +113,32 @@ def test_not_a_permutation_raises():
     assert str(err.value) == (
         "order [1, 2, 3, 4, 9] is not a permutation of facet ids [1, 2, 3, 4, 5]"
     )
+
+
+# a bool or a non-integer id was taken as 1 or raised a bare TypeError
+@pytest.mark.parametrize(
+    "call",
+    [lambda cx: branches_of(cx, 2.0), lambda cx: free_vertices(cx, 1.5)],
+    ids=["branches_of", "free_vertices"],
+)
+def test_non_integer_facet_ids_are_unknown(call):
+    with pytest.raises(UnknownFacetIdError, match="is not an integer"):
+        call(delta_n(3))
+
+
+@pytest.mark.parametrize(
+    "call, order",
+    [
+        (relation_tree, [True, 2, 3, 4]),
+        (validate_leaf_order, [1.0, 2, 3, 4]),
+        (validate_leaf_order, ["a", 2, 3, 4]),
+    ],
+    ids=["relation_tree-bool", "validate-float", "validate-str"],
+)
+def test_orders_with_non_integer_ids_are_not_permutations(call, order):
+    with pytest.raises(NotAPermutationError) as err:
+        call(delta_n(3), order)
+    assert str(err.value).endswith("is not a permutation of facet ids [1, 2, 3, 4]")
 
 
 def test_greedy_soundness(quasi_tree_corpus):
