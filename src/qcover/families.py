@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .complexes import SimplicialComplex, new_complex
-from .errors import NTooSmallError, check_order, check_seed
+from .complexes import MAX_VERTICES, SimplicialComplex, new_complex
+from .errors import NTooSmallError, TooManyVerticesError, check_order, check_seed
 
 
 def delta_n(n: int) -> SimplicialComplex:
@@ -76,6 +76,7 @@ def random_quasi_tree(g: GeneratorSeed) -> SimplicialComplex:
     at attach time) and brings at least one fresh vertex (keeping the
     antichain).  The output is a quasi-tree by construction,
     and every facet size is drawn uniformly from 2..max_facet_size.
+    A draw stops with TooManyVerticesError as soon as its labels pass 64.
     """
     from ._pcg64 import PCG64
 
@@ -88,7 +89,7 @@ def random_quasi_tree(g: GeneratorSeed) -> SimplicialComplex:
     first = draw_size()
     facets: list[set[int]] = [set(range(1, first + 1))]
     next_label = first + 1
-    while len(facets) < g.num_facets:
+    while next_label - 1 <= MAX_VERTICES and len(facets) < g.num_facets:
         host = facets[rng.integers(0, len(facets))]
         size = draw_size()
         t_max = min(len(host) - 1, size - 1)
@@ -98,4 +99,9 @@ def random_quasi_tree(g: GeneratorSeed) -> SimplicialComplex:
         fresh = set(range(next_label, next_label + (size - t)))
         next_label += size - t
         facets.append(inter | fresh)
+    if next_label - 1 > MAX_VERTICES:
+        raise TooManyVerticesError(
+            f"the draw reached {next_label - 1} vertex labels at facet {len(facets)} "
+            f"of {g.num_facets}; the engine supports at most {MAX_VERTICES}"
+        )
     return new_complex(facets)

@@ -225,6 +225,18 @@ def test_random_quasi_trees_match_numpy_on_the_check_universe(np):
             assert sorted(sorted(f) for f in random_quasi_tree(g).facets) == want, s
 
 
+def test_random_quasi_tree_stops_once_its_labels_pass_64():
+    with pytest.raises(TooManyVerticesError) as err:
+        random_quasi_tree(GeneratorSeed(19, 25, 7))
+    assert str(err.value) == (
+        "the draw reached 68 vertex labels at facet 23 of 25; "
+        "the engine supports at most 64"
+    )
+    with pytest.raises(TooManyVerticesError, match="reached 86 vertex labels at facet 1 of 5"):
+        random_quasi_tree(GeneratorSeed(0, 5, 100))
+    assert random_quasi_tree(GeneratorSeed(1, 1, 100)).vertex_count == 48
+
+
 @pytest.mark.parametrize("seed", [0, 1, 99, 2**40])
 def test_random_branch_rule_matches_numpy(np, seed):
     rule, ref = random_branch_rule(seed), numpy_generator(np, seed)
