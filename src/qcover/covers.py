@@ -203,7 +203,10 @@ def _lex_first_split(
         return None
 
     low = min(sums)
-    return rec(0, low, low, True)
+    try:
+        return rec(0, low, low, True)
+    finally:
+        del rec  # the closure refers to itself; free the cycle now
 
 
 def decompose_cover(
@@ -314,7 +317,10 @@ def _indecomposables(cx: SimplicialComplex, k: int, first: bool) -> list[CoverVe
         a[t] = 0
         return False
 
-    rec(0)
+    try:
+        rec(0)
+    finally:
+        del rec  # the closure refers to itself; free the cycle now
     return out
 
 

@@ -11,15 +11,28 @@ cycles whose vertices happen to span some bystander facet, and those are
 exactly the cycles that matter for gradedness.)
 
 The search is exhaustive backtracking over alternating sequences.  Its one
-state is the path: its vertices, its facets and its vertex set.  Vertices
-and facets stay distinct; under ``only_special`` specialness-so-far is read
-from the vertex set, since every path facet already holds the two path
-vertices it joins: a facet holding two path vertices is not extended
-through, and a vertex in a path facet is not added.  A canonical form kills
-duplicates — every cycle is generated exactly once, started at its smallest
-vertex with the direction fixed by the smaller (second vertex, first facet)
-pair.  The search is worst-case exponential; a node budget aborts loudly
-instead of truncating silently.
+state is the path: its vertices, its facets, and two vertex bit masks, of
+the path's vertices and of its facets' vertices.  Vertices and facets stay
+distinct; under ``only_special`` specialness-so-far is read from the
+masks, since every path facet already holds the two path vertices it
+joins: a facet holding two path vertices is not extended through, and a
+vertex in a path facet is not added.  A canonical form kills duplicates —
+every cycle is generated exactly once, started at its smallest vertex with
+the direction fixed by the smaller (second vertex, first facet) pair.
+
+Searching for special odd cycles alone, as :func:`find_special_odd_cycle`
+does, the search enters a longer path only when a parity relaxation
+(:func:`_closable`) shows that the path may still close one: a walk from
+its end back to its start, through facets that meet the path where a
+special closure must, over fresh vertices (candidates above the start, in
+no path facet), adding a number of vertices that makes the cycle odd.
+Only subtrees without a yield are cut, so the yields and their order are
+those of the unpruned search and only the expansion count falls.  The cut
+is strong while facets hold at most two fresh vertices, as in bipartite
+satellite trees; a facet with three or more is a triangle in the
+relaxation, which then reaches both parities and cuts little.  The search
+stays worst-case exponential; a node budget aborts loudly instead of
+truncating silently.
 """
 
 from __future__ import annotations
@@ -100,6 +113,71 @@ def _canonical_closure_ok(
     return (path_v[1], path_f[0]) < (path_v[-1], closing_f)
 
 
+def _closable(
+    masks: tuple[int, ...],
+    first: list[int],
+    closing: list[int],
+    used: int,
+    w_bit: int,
+    start_bit: int,
+    fresh: int,
+    odd: bool,
+) -> bool:
+    """Whether a path ending at w may still close a special odd cycle.
+
+    A relaxation, over vertex bit masks: ``used`` holds the path's vertices,
+    ``first`` and ``closing`` the masks of the facets through w and through
+    the start, ``fresh`` the vertices the path may still add and ``odd``
+    whether the path has odd length.  A facet meeting the path in exactly
+    {w, start} closes an odd path at once.  Otherwise the remainder leaves
+    w through a facet meeting the path in exactly {w}, crosses facets that
+    miss the path, and returns through a facet meeting it in exactly
+    {start}; each step goes from a fresh vertex to another fresh vertex of
+    its facet.  A breadth-first search over (vertex, parity) asks whether
+    such a walk adds a number of vertices of the parity that makes the
+    cycle odd.  Every special odd closure of the path is such a walk, so a
+    False here cuts only subtrees that yield nothing.
+    """
+    ends = start_bit | w_bit
+    reach = 0
+    for g in first:
+        inside = g & used
+        if inside == w_bit:
+            reach |= g & fresh
+        elif odd and inside == ends:
+            return True
+    target = 0
+    for g in closing:
+        if g & used == start_bit:
+            target |= g & fresh
+    if not reach or not target:
+        return False
+    steps = []
+    for g in masks:
+        if not g & used:
+            g &= fresh
+            if g & (g - 1):  # a step needs two fresh vertices
+                steps.append(g)
+    # reach holds the walks that added one vertex; an odd path needs an
+    # even number of vertices more, an even path an odd number
+    seen = [0, 0]
+    parity = 1
+    want = 0 if odd else 1
+    while reach:
+        if parity == want and reach & target:
+            return True
+        seen[parity] |= reach
+        nxt = 0
+        for g in steps:
+            hit = g & reach
+            if hit:
+                # from a lone vertex of g, only the other vertices of g
+                nxt |= g if hit & (hit - 1) else g & ~hit
+        parity ^= 1
+        reach = nxt & ~seen[parity]
+    return False
+
+
 def enumerate_cycles(
     cx: SimplicialComplex,
     max_s: Optional[int] = None,
@@ -111,7 +189,8 @@ def enumerate_cycles(
 
     Every cycle appears exactly once: the start vertex is its smallest
     vertex and the direction is fixed.  ``only_special`` prunes on
-    specialness-so-far, ``odd_only`` restricts closures to odd length >= 3.
+    specialness-so-far, ``odd_only`` restricts closures to odd length >= 3;
+    with both, a path is entered only when :func:`_closable` allows it.
     Raises BudgetExceededError after ``budget`` node expansions (None: no
     limit), and ValueError for a non-integer max_s or a negative budget.
     """
@@ -128,11 +207,19 @@ def enumerate_cycles(
     min_close = 3 if odd_only else 2
     if cap < min_close:
         return
+    prune = only_special and odd_only
+    masks = cx.masks
+    mask_of = dict(zip(ids, masks))
+    masks_at = {v: [mask_of[fid] for fid in fids] for v, fids in facets_of.items()}
+    cand_bits = 0
+    for v in candidates:
+        cand_bits |= 1 << (v - 1)
     spent = 0
 
     def extend(
-        path_v: list[int], path_f: list[int], used_v: set[int]
+        path_v: list[int], path_f: list[int], used: int, in_path_f: int
     ) -> Iterator[Cycle]:
+        # used: the path's vertices; in_path_f: the vertices of its facets
         nonlocal spent
         spent += 1
         if budget is not None and spent > budget:
@@ -143,8 +230,8 @@ def enumerate_cycles(
         for fid in facets_of[path_v[-1]]:
             if fid in path_f:
                 continue
-            fverts = cx.facet(fid)
-            inside = len(fverts & used_v)
+            fverts, fmask = cx.facet(fid), mask_of[fid]
+            inside = (fmask & used).bit_count()
             # close the cycle
             if (
                 start in fverts
@@ -157,15 +244,33 @@ def enumerate_cycles(
             # extend the path
             if len(path_v) == cap or (only_special and inside >= 2):
                 continue
+            beyond = in_path_f | fmask
             for w in sorted(fverts):
-                if w <= start or w in used_v or len(facets_of[w]) < 2:
+                w_bit = 1 << (w - 1)
+                if w <= start or used & w_bit or len(facets_of[w]) < 2:
                     continue
-                if only_special and any(w in cx.facet(g) for g in path_f):
+                if only_special and in_path_f & w_bit:
                     continue
-                yield from extend(path_v + [w], path_f + [fid], used_v | {w})
+                if prune and not _closable(
+                    masks,
+                    masks_at[w],
+                    masks_at[start],
+                    used | w_bit,
+                    w_bit,
+                    1 << (start - 1),
+                    cand_bits >> start << start & ~beyond,  # above the start
+                    len(path_v) % 2 == 0,
+                ):
+                    continue
+                yield from extend(
+                    path_v + [w], path_f + [fid], used | w_bit, beyond
+                )
 
-    for start in candidates:
-        yield from extend([start], [], {start})
+    try:
+        for start in candidates:
+            yield from extend([start], [], 1 << (start - 1), 0)
+    finally:
+        del extend  # the closure refers to itself; free the cycle now
 
 
 def find_special_odd_cycle(

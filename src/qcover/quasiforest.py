@@ -157,24 +157,24 @@ def leaf_order(cx: SimplicialComplex) -> Optional[tuple[int, ...]]:
 
 
 def _peel_order(
-    cx: SimplicialComplex, seq: list[int]
-) -> Iterator[tuple[Optional[int], tuple[int, ...]]]:
-    """Peel a proposed leaf order from its last facet back to its first."""
+    cx: SimplicialComplex, seq: list
+) -> tuple[list[int], Iterator[tuple[Optional[int], tuple[int, ...]]]]:
+    """A proposed leaf order's ids as ints, and its peel from last to first."""
     try:
-        ids = sorted(check_order(fid, None) for fid in seq)
+        ids = [check_order(fid, None) for fid in seq]
     except ValueError:  # a bool or a non-integer entry
         ids = None
-    if ids != sorted(cx.facet_ids):
+    if ids is None or sorted(ids) != sorted(cx.facet_ids):
         raise NotAPermutationError(
             f"order {echo(seq)} is not a permutation of facet ids "
             f"{echo(list(cx.facet_ids))}"
         )
-    return peel_leaves(cx, detach=reversed(seq))
+    return ids, peel_leaves(cx, detach=reversed(ids))
 
 
 def validate_leaf_order(cx: SimplicialComplex, order: Iterable[int]) -> bool:
     """True iff each facet in the order is a leaf of the preceding prefix."""
-    return all(branches for _, branches in _peel_order(cx, list(order)))
+    return all(branches for _, branches in _peel_order(cx, list(order))[1])
 
 
 def is_quasi_forest(cx: SimplicialComplex) -> bool:
@@ -230,8 +230,8 @@ def relation_tree(
     pick one of its admissible branches in the current prefix, record the
     edge, repeat.  The first facet becomes the root with branch(root)=root.
     """
-    seq = list(order)
-    steps = list(_peel_order(cx, seq))
+    seq, peel = _peel_order(cx, list(order))
+    steps = list(peel)
     if not all(branches for _, branches in steps):
         raise InvalidLeafOrderError(f"{seq} is not a leaf order of the complex")
     branch: dict[int, int] = {seq[0]: seq[0]}

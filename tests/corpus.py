@@ -10,11 +10,13 @@ import itertools
 
 from qcover import (
     GeneratorSeed,
+    TooManyVerticesError,
     find_special_odd_cycle,
     new_complex,
     random_quasi_tree,
 )
 from qcover._pcg64 import PCG64
+from qcover.families import delta_n
 
 # draws of GeneratorSeed(s, 6 + s % 30, 2 + s % 7) with 30 to 64 vertices
 # and 12 to 35 facets, the upper part of the domain the engine accepts
@@ -98,3 +100,38 @@ def satellite_ring(r):
     return new_complex(
         [set(range(1, r + 1))] + [{i, i % r + 1, r + i} for i in range(1, r + 1)]
     )
+
+
+def paired_satellite_tree(p, c):
+    """Central facet P ∪ Q plus one satellite {x, y, y', private} per x in P and pair.
+
+    P = 1..p and Q = p+1..p+2c, split into the c pairs {p+2j+1, p+2j+2}; the
+    private vertices follow in row order.  A standard-graded quasi-tree: a
+    facet through one vertex of a pair holds the other too, so a special
+    cycle never steps inside a pair and stays bipartite between P and Q.
+    Each satellite holds three cycle candidates, a triangle in the
+    2-section, which leaves the cycle search's parity prune both parities.
+    """
+    n = p + 2 * c
+    rows = itertools.product(range(1, p + 1), range(c))
+    satellites = [
+        {x, p + 2 * j + 1, p + 2 * j + 2, n + i} for i, (x, j) in enumerate(rows, 1)
+    ]
+    return new_complex([set(range(1, n + 1)), *satellites])
+
+
+def check_universe():
+    """The quasi-tree inputs of the check benchmark, as (name, complex) pairs.
+
+    rqt:s is GeneratorSeed(s, 6 + s % 30, 2 + s % 7) for s < 3000, leaving
+    out the draws the generator rejects for passing 64 vertices, and
+    delta:n is delta_n(n) for n in 3..32.
+    """
+    out = []
+    for s in range(3000):
+        try:
+            cx = random_quasi_tree(GeneratorSeed(s, 6 + s % 30, 2 + s % 7))
+        except TooManyVerticesError:
+            continue
+        out.append((f"rqt:{s}", cx))
+    return out + [(f"delta:{n}", delta_n(n)) for n in range(3, 33)]

@@ -166,3 +166,51 @@ def oracle_minimal_subtree(tree, targets):
         branch[v] = b if b != v and b in nodes else v
     (root,) = [v for v in nodes if branch[v] == v]
     return tuple(sorted(nodes)), edges, branch, root
+
+
+def oracle_enumerate_cycles(cx, only_special=False, odd_only=False):
+    """The canonical cycle search without its parity prune, as (vertices, facets).
+
+    The engine's backtracking order and canonical form, with no budget and
+    no cut beyond specialness-so-far: every yield of
+    ``enumerate_cycles(cx, only_special=..., odd_only=...)`` in the same
+    order, found the long way.
+    """
+    fids = list(cx.facet_ids)
+    fset = dict(zip(fids, facet_sets(cx)))
+    facets_of = {v: [f for f in fids if v in fset[f]] for v in cx.active_vertices}
+    candidates = [v for v in cx.active_vertices if len(facets_of[v]) >= 2]
+    cap = min(len(fids), len(candidates))
+    min_close = 3 if odd_only else 2
+
+    def canonical(path_v, path_f, closing):
+        if len(path_v) == 2:
+            return path_f[0] < closing
+        return (path_v[1], path_f[0]) < (path_v[-1], closing)
+
+    def walk(path_v, path_f):
+        start, used = path_v[0], set(path_v)
+        for fid in facets_of[path_v[-1]]:
+            if fid in path_f:
+                continue
+            inside = len(fset[fid] & used)
+            if (
+                start in fset[fid]
+                and len(path_v) >= min_close
+                and (not odd_only or len(path_v) % 2 == 1)
+                and (not only_special or inside <= 2)
+                and canonical(path_v, path_f, fid)
+            ):
+                yield tuple(path_v), tuple(path_f + [fid])
+            if len(path_v) == cap or (only_special and inside >= 2):
+                continue
+            for w in sorted(fset[fid]):
+                if w <= start or w in used or len(facets_of[w]) < 2:
+                    continue
+                if only_special and any(w in fset[g] for g in path_f):
+                    continue
+                yield from walk(path_v + [w], path_f + [fid])
+
+    if cap >= min_close:
+        for start in candidates:
+            yield from walk([start], [])

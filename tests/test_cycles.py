@@ -19,8 +19,13 @@ from qcover import (
 )
 from qcover.families import delta_n, double_fan
 
-from corpus import bipartite_satellite_tree, satellite_ring
-from oracles import oracle_special_odd_cycle_exists
+from corpus import (
+    bipartite_satellite_tree,
+    check_universe,
+    paired_satellite_tree,
+    satellite_ring,
+)
+from oracles import oracle_enumerate_cycles, oracle_special_odd_cycle_exists
 
 TRIANGLE = new_complex([{1, 2}, {2, 3}, {1, 3}])
 
@@ -202,6 +207,21 @@ def test_enumeration_yields_are_pinned(yield_corpus, only_special, odd_only, cou
     assert hashlib.sha256(json.dumps(listed).encode()).hexdigest() == digest
 
 
+def test_special_odd_yields_match_the_unpruned_search(yield_corpus):
+    for cx in yield_corpus:
+        got = [tuple(c) for c in enumerate_cycles(cx, only_special=True, odd_only=True)]
+        assert got == list(oracle_enumerate_cycles(cx, only_special=True, odd_only=True))
+
+
+def test_first_cycles_match_the_unpruned_search_on_the_check_universe():
+    universe = check_universe()
+    assert len(universe) == 2434
+    for key, cx in universe:
+        want = next(oracle_enumerate_cycles(cx, only_special=True, odd_only=True), None)
+        got = find_special_odd_cycle(cx)
+        assert (None if got is None else tuple(got)) == want, key
+
+
 def _finishes(cx, budget, **modes):
     try:
         for _ in enumerate_cycles(cx, budget=budget, **modes):
@@ -211,15 +231,16 @@ def _finishes(cx, budget, **modes):
     return True
 
 
-# (name, complex, special-odd nodes, all-cycle nodes or None where too many)
+# (name, complex, special-odd nodes, all-cycle nodes or None where too many);
+# the special-odd column counts the search with its parity prune
 PINNED_NODES = [
-    ("delta3", delta_n(3), 11, 15),
-    ("delta4", delta_n(4), 30, 162),
-    ("fan", double_fan(), 14, 20),
-    ("ring5", satellite_ring(5), 29, 83),
-    ("ring6", satellite_ring(6), 41, 161),
-    ("bipartite4", bipartite_satellite_tree(4, 4), 724, None),
-    ("bipartite5", bipartite_satellite_tree(5, 5), 13090, None),
+    ("delta3", delta_n(3), 7, 15),
+    ("delta4", delta_n(4), 20, 162),
+    ("fan", double_fan(), 3, 20),
+    ("ring5", satellite_ring(5), 13, 83),
+    ("ring6", satellite_ring(6), 6, 161),
+    ("bipartite4", bipartite_satellite_tree(4, 4), 8, None),
+    ("bipartite5", bipartite_satellite_tree(5, 5), 10, None),
 ]
 
 
@@ -245,3 +266,49 @@ def test_satellite_families_are_quasi_trees_with_known_verdicts():
     assert find_special_odd_cycle(satellite_ring(5)).vertices == (1, 2, 3, 4, 5)
     assert find_special_odd_cycle(satellite_ring(6)) is None
     assert find_special_odd_cycle(bipartite_satellite_tree(4, 4)) is None
+
+
+# --- families across the engine's domain, each under a small node budget -----
+
+BUDGET = 10**4
+
+
+@pytest.mark.parametrize("p", range(1, 8))
+def test_bipartite_satellite_trees_have_no_special_odd_cycle(p):
+    for q in range(2 if p == 1 else 1, 8):  # p = q = 1 is no antichain
+        cx = bipartite_satellite_tree(p, q)
+        assert is_quasi_tree(cx)
+        assert find_special_odd_cycle(cx, budget=BUDGET) is None
+
+
+@pytest.mark.parametrize("r", range(3, 32))
+def test_satellite_rings_close_exactly_when_odd(r):
+    cyc = find_special_odd_cycle(satellite_ring(r), budget=BUDGET)
+    if r % 2:
+        assert cyc.vertices == tuple(range(1, r + 1))
+    else:
+        assert cyc is None
+
+
+def test_delta_family_has_a_special_triangle():
+    for n in range(3, 33):
+        cx = delta_n(n)
+        cyc = find_special_odd_cycle(cx, budget=BUDGET)
+        assert cyc.s == 3 and is_special_cycle(cx, cyc), n
+
+
+def test_paired_satellite_trees_answer_or_run_out():
+    # each satellite holds three candidates, so the prune keeps both
+    # parities: the search may run out of budget, but never finds a cycle
+    for p, c in ((2, 2), (3, 2), (2, 3)):
+        assert not oracle_special_odd_cycle_exists(paired_satellite_tree(p, c))
+    answered = []
+    for p, c in ((2, 2), (3, 3), (4, 4), (5, 5), (6, 6)):
+        cx = paired_satellite_tree(p, c)
+        assert is_quasi_tree(cx)
+        try:
+            assert find_special_odd_cycle(cx, budget=BUDGET) is None
+        except BudgetExceededError:
+            continue
+        answered.append(p)
+    assert answered == [2, 3, 4]

@@ -1,5 +1,6 @@
 """Verdicts, the criterion/brute-force equivalence, cross-validation."""
 
+import gc
 import hashlib
 import json
 
@@ -15,6 +16,7 @@ from qcover import (
     indecomposable_covers,
     is_k_cover,
     is_standard_graded,
+    max_generator_degree,
     new_complex,
     witness_cover_from_cycle,
 )
@@ -34,6 +36,30 @@ def test_delta_negative_verdict_with_both_witnesses():
     assert v.cover_witness.a == (1, 1, 1, 0, 0, 0)
     assert v.cover_witness.k == 2
     assert decompose_cover(delta_n(3), v.cover_witness.a, 2) is None
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: is_standard_graded(delta_n(4)),
+        lambda: indecomposable_covers(delta_n(3), 2),
+        lambda: max_generator_degree(delta_n(3), 4),
+    ],
+    ids=["is_standard_graded", "indecomposable_covers", "max_generator_degree"],
+)
+def test_searches_leave_no_garbage_cycles(call):
+    # the recursive walks are closures that refer to themselves; a walk that
+    # did not break that cycle would leave its complex to the cyclic collector
+    call()  # loads what the call loads on first use
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        call()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_fan_positive_verdict_is_exact():

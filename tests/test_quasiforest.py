@@ -1,6 +1,7 @@
 """Leaf structure: orders, relation trees, subtrees, free vertices."""
 
 import itertools
+import json
 
 import pytest
 
@@ -203,6 +204,20 @@ def test_single_facet_tree():
     assert tree.nodes == (1,)
     assert tree.edges == ()
     assert tree.branch == {1: 1}
+
+
+class _Id(int):
+    """An integer id of another type, as numpy's int64 is."""
+
+
+def test_tree_is_built_from_plain_int_ids():
+    cx = delta_n(3)
+    plain = relation_tree(cx, leaf_order(cx))
+    tree = relation_tree(cx, [_Id(f) for f in leaf_order(cx)])
+    assert tree == plain and tree.branch == plain.branch
+    ids = [*tree.nodes, *itertools.chain(*tree.edges), *tree.branch, tree.root]
+    assert {type(f) for f in ids} == {int}
+    assert json.dumps(tree.branch) == json.dumps(plain.branch)
 
 
 def test_invalid_order_rejected():
