@@ -40,6 +40,7 @@ from qcover import (
 from qcover.covers import _first_indecomposable_cover
 from qcover.cycles import Cycle
 from qcover.families import GeneratorSeed, delta_n, double_fan, random_quasi_tree
+from qcover.quasiforest import max_branch_rule, random_branch_rule
 
 from oracles import (
     facet_sets,
@@ -545,11 +546,12 @@ def test_witness_input_validation():
         witness_cover_from_cycle(D3, tree, Cycle((1, 2, 3), (1, 4, 3)))
 
 
-def test_witnesses_match_golden():
+def _golden_witnesses():
     # every exit-10 input of the check universe: the quasi-tree draws
     # rqt:s = GeneratorSeed(s, 6 + s % 30, 2 + s % 7) for s < 3000 (over-64-vertex
     # draws left out) and delta:n = delta_n(n) for n in 3..32, with the
-    # witnesses the criterion gave when the golden was recorded
+    # witnesses the criterion gave when the golden was recorded; as
+    # (key, complex, witnesses) in the golden's order
     golden = json.loads((Path(__file__).parent / "golden/witnesses.json").read_text())
     assert len(golden) == 253
     for key, want in golden.items():
@@ -559,5 +561,64 @@ def test_witnesses_match_golden():
             cx = random_quasi_tree(GeneratorSeed(n, 6 + n % 30, 2 + n % 7))
         else:
             cx = delta_n(n)
+        yield key, cx, want
+
+
+def test_witnesses_match_golden():
+    for key, cx, want in _golden_witnesses():
         got = is_standard_graded(cx).to_dict()
         assert {f: got[f] for f in want} == want, key
+
+
+# rule -> (SHA-256 of the verdicts' to_dict() JSON, rule calls, SHA-256 of the
+# calls' (leaf, branches, choice) JSON) over the golden's 253 inputs, each
+# under a fresh rule.  The minimal subtree, and so the witness, comes out the
+# same under every rule on these inputs, so the calls are pinned as well:
+# they fix the order in which a stateful rule is asked.
+RULE_PINS = {
+    "max": (
+        "554135538b185cbf87808e17e11420f0d055f5fc03e74e884c08f34962ec7a9f",
+        4798,
+        "a61a5c0456707c40e2547800a03982bda84509e6cb731f274c01f8b9bae87f94",
+    ),
+    "random:0": (
+        "554135538b185cbf87808e17e11420f0d055f5fc03e74e884c08f34962ec7a9f",
+        4798,
+        "305a4f11b1e690a3ee2d4fa00c7cbd1d205d2f2be56393153caa8479312afc3b",
+    ),
+    "random:1": (
+        "554135538b185cbf87808e17e11420f0d055f5fc03e74e884c08f34962ec7a9f",
+        4798,
+        "b735383e439cafe0b833cfa27fb77f46d7f502cc67de4080c9d357aadf108b08",
+    ),
+    "random:2": (
+        "554135538b185cbf87808e17e11420f0d055f5fc03e74e884c08f34962ec7a9f",
+        4798,
+        "1f44af8a6f19acf961b35f1b822ddade606bf21ba29cae9940f64e6e6c8b828b",
+    ),
+}
+
+
+@pytest.mark.parametrize("rule_name", sorted(RULE_PINS))
+def test_verdicts_under_other_branch_rules_match_pins(rule_name):
+    verdicts, calls = [], []
+    for _, cx, _ in _golden_witnesses():
+        if rule_name == "max":
+            rule = max_branch_rule
+        else:
+            rule = random_branch_rule(int(rule_name.split(":")[1]))
+
+        def logged(leaf, branches, rule=rule):
+            chosen = rule(leaf, branches)
+            calls.append([leaf, list(branches), chosen])
+            return chosen
+
+        verdicts.append(is_standard_graded(cx, branch_rule=logged).to_dict())
+    assert sum(not v["standard_graded"] for v in verdicts) == 253
+
+    def sha(obj, **kw):
+        text = json.dumps(obj, separators=(",", ":"), **kw)
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    got = (sha(verdicts, sort_keys=True), len(calls), sha(calls))
+    assert got == RULE_PINS[rule_name]
