@@ -29,10 +29,11 @@ from .errors import NotQuasiTreeError, QcoverError, echo
 from .fileio import complex_digest, load_complex, to_json, to_text
 from .gradedness import cross_validate, is_standard_graded
 from .quasiforest import (
+    _tree_from_steps,
     is_quasi_tree,
-    leaf_order,
     max_branch_rule,
     min_branch_rule,
+    peel_leaves,
     random_branch_rule,
     relation_tree,
     relation_tree_dot,
@@ -182,6 +183,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_dot(args: argparse.Namespace) -> int:
     cx = load_complex(args.path)
+    rule = min_branch_rule if args.branch_rule == "min" else max_branch_rule
     if args.order:
         try:
             order = [int(tok) for tok in args.order.split(",")]
@@ -189,13 +191,13 @@ def cmd_dot(args: argparse.Namespace) -> int:
             raise QcoverError(
                 f"--order must be comma-separated facet ids, got {echo(args.order)}"
             ) from None
+        tree = relation_tree(cx, order, rule)
     else:
-        order = leaf_order(cx)
-        if order is None:
+        steps = list(peel_leaves(cx))
+        if not all(branches for _, branches in steps):
             print("error: complex has no leaf order", file=sys.stderr)
             return EXIT_NOT_QUASI_TREE
-    rule = min_branch_rule if args.branch_rule == "min" else max_branch_rule
-    tree = relation_tree(cx, order, rule)
+        tree = _tree_from_steps(steps, rule)
     _write_or_print(relation_tree_dot(tree, cx), args.out)
     return EXIT_OK
 

@@ -409,7 +409,8 @@ def witness_cover_from_cycle(
     odd).  One peel of ``cx`` down to the core detaches the other facets;
     they are re-attached in reverse order, each placing its deficit on its
     lowest private vertex as :func:`extend_cover_by_leaf` does.  The result
-    is re-checked with :func:`decompose_cover` before it is returned.
+    is re-checked with :func:`decompose_cover` before it is returned.  The
+    quasi-tree guard peels once more, before the detachment.
     """
     if not is_quasi_tree(cx):
         raise NotQuasiTreeError("witness construction requires a quasi-tree")
@@ -421,7 +422,16 @@ def witness_cover_from_cycle(
         raise NotSpecialOddCycleError(
             "witness input must be a special cycle of odd length >= 3"
         )
+    return _witness_cover(cx, tree, cycle)
 
+
+def _witness_cover(
+    cx: SimplicialComplex, tree: RelationTree, cycle: Cycle
+) -> CoverVector:
+    """The witness past the guards, which ``is_standard_graded`` has just met.
+
+    It still peels to detach, and it re-checks the cover it returns.
+    """
     core = minimal_subtree(tree, cycle.facets)
     steps = list(peel_leaves(cx, keep=frozenset(core.nodes)))
     if not all(branches for _, branches in steps):

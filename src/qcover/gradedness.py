@@ -3,7 +3,8 @@
 For quasi-trees the cover algebra is standard graded exactly when the
 complex has no special odd cycle, so the criterion path is exact and needs
 no degree bound.  When a cycle exists, the degree-2 witness cover built
-from it certifies non-standard-gradedness concretely.  The brute-force path
+from it, with the relation tree of the leaf-order peel, certifies
+non-standard-gradedness concretely.  The brute-force path
 enumerates indecomposable covers degree by degree up to a bound and works
 for arbitrary complexes; its positive answers are exact, its negative
 answers are bound-limited.
@@ -17,12 +18,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 from .complexes import SimplicialComplex, smd
 from .cycles import Cycle, find_special_odd_cycle, DEFAULT_CYCLE_BUDGET
 from .errors import NotQuasiTreeError, check_order
-from .quasiforest import (
-    BranchRule,
-    leaf_order,
-    min_branch_rule,
-    relation_tree,
-)
+from .quasiforest import BranchRule, _tree_from_steps, min_branch_rule, peel_leaves
 
 if TYPE_CHECKING:  # covers loads on first use: only witnesses and enumeration need it
     from .covers import CoverVector
@@ -64,9 +60,12 @@ def is_standard_graded(
     so both directions of the answer can be re-checked independently.
     Raises NotQuasiTreeError otherwise; use :func:`brute_force_verdict` for
     arbitrary complexes.
+
+    One greedy peel checks the quasi-tree and gives the relation tree; the
+    witness builder behind :func:`witness_cover_from_cycle` skips its guards.
     """
-    order = leaf_order(cx)
-    if order is None or not cx.is_connected():
+    steps = list(peel_leaves(cx)) if cx.is_connected() else None
+    if steps is None or not all(branches for _, branches in steps):
         raise NotQuasiTreeError(
             "the cycle criterion only decides quasi-trees; "
             "brute_force_verdict handles arbitrary complexes up to a bound"
@@ -74,10 +73,9 @@ def is_standard_graded(
     cyc = find_special_odd_cycle(cx, budget=budget)
     if cyc is None:
         return Verdict(standard_graded=True, method="criterion")
-    from .covers import witness_cover_from_cycle
+    from .covers import _witness_cover
 
-    tree = relation_tree(cx, order, branch_rule)
-    cover = witness_cover_from_cycle(cx, tree, cyc)
+    cover = _witness_cover(cx, _tree_from_steps(steps, branch_rule), cyc)
     return Verdict(standard_graded=False, cycle_witness=cyc, cover_witness=cover)
 
 

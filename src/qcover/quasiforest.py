@@ -11,7 +11,9 @@ Every leaf question goes through one kernel, :func:`peel_leaves`.  It
 detaches facets one at a time from a list of facet ids, using the facet
 bit masks alone, and reports the admissible branches of each detached
 facet.  Greedy leaf orders, validation of a given order, relation trees
-and the witness detachment in :mod:`qcover.covers` consume a whole peel;
+(from a validated order, or from the greedy peel, whose steps are those of
+its own order) and the witness detachment in :mod:`qcover.covers` consume
+a whole peel;
 :func:`branches_of`, :func:`is_leaf` and :func:`find_leaf` read its first
 step.
 
@@ -148,12 +150,10 @@ def leaf_order(cx: SimplicialComplex) -> Optional[tuple[int, ...]]:
     returns the removal sequence reversed, so each facet is a leaf of the
     prefix that precedes it.
     """
-    removed: list[int] = []
-    for fid, branches in peel_leaves(cx):
-        if not branches:
-            return None
-        removed.append(fid)
-    return tuple(reversed(removed))
+    steps = list(peel_leaves(cx))
+    if not all(branches for _, branches in steps):
+        return None
+    return tuple(fid for fid, _ in reversed(steps))
 
 
 def _peel_order(
@@ -234,7 +234,19 @@ def relation_tree(
     steps = list(peel)
     if not all(branches for _, branches in steps):
         raise InvalidLeafOrderError(f"{seq} is not a leaf order of the complex")
-    branch: dict[int, int] = {seq[0]: seq[0]}
+    return _tree_from_steps(steps, branch_rule)
+
+
+def _tree_from_steps(steps: list, branch_rule: BranchRule) -> RelationTree:
+    """Relation tree from the steps of a complete peel, the root's step last.
+
+    The greedy peel of :func:`leaf_order` and the peel of its order have the
+    same steps, so callers that hold the greedy peel build the tree without
+    a second one.  ``branch_rule`` is asked once per detached facet, in peel
+    order, so a stateful rule makes the same choices from either peel.
+    """
+    root = steps[-1][0]
+    branch: dict[int, int] = {root: root}
     edges: list[tuple[int, int]] = []
     for fid, adm in steps[:-1]:
         chosen = branch_rule(fid, adm)
@@ -244,12 +256,7 @@ def relation_tree(
             )
         branch[fid] = chosen
         edges.append((min(fid, chosen), max(fid, chosen)))
-    return RelationTree(
-        nodes=tuple(sorted(seq)),
-        edges=tuple(sorted(edges)),
-        branch=branch,
-        root=seq[0],
-    )
+    return RelationTree(tuple(sorted(branch)), tuple(sorted(edges)), branch, root)
 
 
 def _root_path(tree: RelationTree, f: int) -> list[int]:

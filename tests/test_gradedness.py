@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -15,9 +16,12 @@ from qcover import (
     find_special_odd_cycle,
     indecomposable_covers,
     is_k_cover,
+    is_quasi_tree,
     is_standard_graded,
+    leaf_order,
     max_generator_degree,
     new_complex,
+    relation_tree,
     witness_cover_from_cycle,
 )
 from qcover.cli import main
@@ -75,13 +79,68 @@ def test_single_facet_is_standard_graded():
     assert v.standard_graded
 
 
-def test_criterion_rejects_non_quasi_trees():
+def test_criterion_rejects_non_quasi_trees(peels):
     tri = new_complex([{1, 2}, {2, 3}, {1, 3}])
     with pytest.raises(NotQuasiTreeError):
         is_standard_graded(tri)
     disc = new_complex([{1, 2}, {3, 4}])
+    peels.clear()
     with pytest.raises(NotQuasiTreeError):
         is_standard_graded(disc)
+    assert peels == []  # connectivity is checked before any peel
+
+
+# --- peels per call ----------------------------------------------------------
+
+
+@pytest.fixture()
+def peels(monkeypatch):
+    """Every call of quasiforest.peel_leaves, as the list of complexes peeled.
+
+    The wrapper replaces each reference a loaded qcover module holds.
+    """
+    import qcover.cli  # noqa: F401  (loads every module that peels)
+    import qcover.covers  # noqa: F401
+    from qcover.quasiforest import peel_leaves
+
+    calls = []
+
+    def counted(cx, *args, **kwargs):
+        calls.append(cx)
+        return peel_leaves(cx, *args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("qcover.") and vars(mod).get("peel_leaves") is peel_leaves:
+            monkeypatch.setattr(mod, "peel_leaves", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "build, want", [(lambda: delta_n(4), 3), (double_fan, 2)], ids=["delta4", "fan"]
+)
+def test_check_peels_once_per_verdict_and_once_to_detach(peels, build, want):
+    # as cmd_check calls them: exit 0 peels in is_quasi_tree and for the leaf
+    # order; exit 10 peels once more, to detach the facets outside the core
+    cx = build()
+    assert is_quasi_tree(cx)
+    is_standard_graded(cx)
+    assert len(peels) == want
+
+
+def test_public_tree_and_witness_keep_their_guards(peels):
+    cx = delta_n(4)
+    tree = relation_tree(cx, leaf_order(cx))
+    assert len(peels) == 2  # the leaf order and the tree's validation
+    witness_cover_from_cycle(cx, tree, find_special_odd_cycle(cx))
+    assert len(peels) == 4  # the quasi-tree guard and the detachment
+
+
+def test_dot_without_order_peels_once(peels, tmp_path, capsys):
+    path = tmp_path / "fan.json"
+    path.write_text(to_json(double_fan()))
+    assert main(["dot", str(path)]) == 0
+    assert len(peels) == 1
+    assert capsys.readouterr().out.startswith("digraph relation_tree {")
 
 
 def test_brute_force_on_delta():

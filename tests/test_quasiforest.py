@@ -30,8 +30,9 @@ from qcover import (
     validate_leaf_order,
 )
 from qcover.families import GeneratorSeed, delta_n, double_fan, random_quasi_tree
+from qcover.quasiforest import _peel_order, _tree_from_steps, peel_leaves
 
-from corpus import LARGE_SEEDS
+from corpus import LARGE_SEEDS, check_universe
 from oracles import (
     facet_sets,
     oracle_has_leaf_order,
@@ -238,6 +239,21 @@ def test_tree_invariants_across_random_rules(quasi_tree_corpus):
                 assert is_branch_ancestor(tree, tree.root, fid)
                 if tree.degree(fid) == 1:
                     assert is_leaf(cx, fid)
+
+
+def test_greedy_peel_builds_the_tree_of_its_own_order():
+    # is_standard_graded and `qcover dot` build the tree from the greedy peel
+    # instead of re-peeling its order; the steps, and so the tree and the
+    # random rule's stream, must be the same on every universe quasi-tree
+    universe = check_universe()
+    assert len(universe) == 2434
+    for key, cx in universe:
+        steps = list(peel_leaves(cx))
+        order = leaf_order(cx)
+        assert steps == list(_peel_order(cx, order)[1]), key
+        want = relation_tree(cx, order, random_branch_rule(0))
+        got = _tree_from_steps(steps, random_branch_rule(0))
+        assert (got, got.branch) == (want, want.branch), key
 
 
 def test_random_branch_rule_stream_is_pinned():
