@@ -572,9 +572,9 @@ def test_witnesses_match_golden():
 
 # rule -> (SHA-256 of the verdicts' to_dict() JSON, rule calls, SHA-256 of the
 # calls' (leaf, branches, choice) JSON) over the golden's 253 inputs, each
-# under a fresh rule.  The minimal subtree, and so the witness, comes out the
-# same under every rule on these inputs, so the calls are pinned as well:
-# they fix the order in which a stateful rule is asked.
+# under a fresh rule.  The witnesses come out the same under every rule on
+# these inputs (the minimal subtree differs on 54), so the calls are pinned
+# as well: they fix the order in which a stateful rule is asked.
 RULE_PINS = {
     "max": (
         "554135538b185cbf87808e17e11420f0d055f5fc03e74e884c08f34962ec7a9f",
