@@ -1,6 +1,7 @@
 """Cycle validity, specialness, and the canonical backtracking search."""
 
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -16,6 +17,7 @@ from qcover import (
     is_quasi_tree,
     is_special_cycle,
     new_complex,
+    smd,
 )
 from qcover.families import delta_n, double_fan
 
@@ -258,6 +260,64 @@ def test_node_counts_are_pinned(cx, special_odd, every):
         if nodes is not None:
             assert _finishes(cx, nodes, **modes)
             assert not _finishes(cx, nodes - 1, **modes)
+
+
+def _views(cx):
+    # every smd view, the full selection included: sparse labels, view-local
+    # positions and incidence
+    for r in range(1, len(cx.facet_ids) + 1):
+        for ids in itertools.combinations(cx.facet_ids, r):
+            yield smd(cx, ids)
+
+
+@pytest.fixture(scope="module")
+def view_corpus():
+    roots = (delta_n(3), delta_n(4), double_fan(), satellite_ring(5))
+    return [view for cx in roots for view in _views(cx)]
+
+
+# as PINNED_YIELDS, over view_corpus; recorded from the search that keyed
+# its facets and masks by label
+PINNED_VIEW_YIELDS = [
+    (False, False, 696, "bac15ae941937e367dc8caceffa147404f42b58a8c2c361a8209912b2e1115e3"),
+    (False, True, 284, "f0060a3cfe5efa096f876f80da8a0e9cc3923eb89e30da7a169fa8d0f7b44141"),
+    (True, False, 304, "57d2b9ccfefb7660dc79ffd3fd3722740de144dc9fcb76496245b893880e5954"),
+    (True, True, 20, "bc134f72550cbb846779c6aea5755c75e9d518cef7cf740777c29dc9d2ba4f2a"),
+]
+
+
+@pytest.mark.parametrize(
+    "only_special, odd_only, count, digest",
+    PINNED_VIEW_YIELDS,
+    ids=[f"special{int(s)}-odd{int(o)}" for s, o, *_ in PINNED_VIEW_YIELDS],
+)
+def test_enumeration_yields_on_smd_views_are_pinned(
+    view_corpus, only_special, odd_only, count, digest
+):
+    assert len(view_corpus) == 140
+    listed = [
+        [[list(c.vertices), list(c.facets)] for c in enumerate_cycles(
+            view, only_special=only_special, odd_only=odd_only
+        )]
+        for view in view_corpus
+    ]
+    assert sum(map(len, listed)) == count
+    assert hashlib.sha256(json.dumps(listed).encode()).hexdigest() == digest
+
+
+def test_node_counts_on_smd_views_are_pinned(view_corpus):
+    # per view, the smallest budget that finishes the special-odd search
+    modes = {"only_special": True, "odd_only": True}
+    nodes = []
+    for view in view_corpus:
+        n = 0
+        while not _finishes(view, n, **modes):
+            n += 1
+        nodes.append(n)
+    assert (sum(nodes), max(nodes)) == (327, 20)
+    assert hashlib.sha256(json.dumps(nodes).encode()).hexdigest() == (
+        "866d44903f143e0e13e43a40159f3d2a07b7d3c98612ec2b9fd479163895e40d"
+    )
 
 
 def test_satellite_families_are_quasi_trees_with_known_verdicts():

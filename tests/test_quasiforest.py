@@ -1,5 +1,6 @@
 """Leaf structure: orders, relation trees, subtrees, free vertices."""
 
+import hashlib
 import itertools
 import json
 
@@ -254,6 +255,32 @@ def test_greedy_peel_builds_the_tree_of_its_own_order():
         want = relation_tree(cx, order, random_branch_rule(0))
         got = _tree_from_steps(steps, random_branch_rule(0))
         assert (got, got.branch) == (want, want.branch), key
+
+
+# (call, total steps, sha256 of json.dumps of every universe quasi-tree's
+# steps as [facet, branches] lists); recorded from the peel that rebuilds
+# its shared-vertex masks at every step
+PINNED_PEELS = [
+    ("greedy", 44575, "932ecf31e116d7ebeedd65f174bf1fb477f5c9d7ecfe391d99119ce60747cf34"),
+    ("detach", 44575, "932ecf31e116d7ebeedd65f174bf1fb477f5c9d7ecfe391d99119ce60747cf34"),
+    ("keep", 39707, "638fec81f72a1b41717a66344f7d00bbf85de29cfd3e94e2a7d400eba5e8373c"),
+]
+PEEL_CALLS = {
+    "greedy": lambda cx: peel_leaves(cx),
+    "detach": lambda cx: peel_leaves(cx, detach=reversed(leaf_order(cx))),
+    "keep": lambda cx: peel_leaves(cx, keep=leaf_order(cx)[:2]),
+}
+
+
+@pytest.mark.parametrize(
+    "call, count, digest", PINNED_PEELS, ids=[row[0] for row in PINNED_PEELS]
+)
+def test_peel_steps_are_pinned_on_the_check_universe(call, count, digest):
+    universe = check_universe()
+    assert len(universe) == 2434
+    listed = [[[f, list(b)] for f, b in PEEL_CALLS[call](cx)] for _, cx in universe]
+    assert sum(map(len, listed)) == count
+    assert hashlib.sha256(json.dumps(listed).encode()).hexdigest() == digest
 
 
 def test_random_branch_rule_stream_is_pinned():
