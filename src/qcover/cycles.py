@@ -10,11 +10,14 @@ specialness.  (The stricter all-facets reading would wrongly disqualify
 cycles whose vertices happen to span some bystander facet, and those are
 exactly the cycles that matter for gradedness.)
 
-The search is exhaustive backtracking over alternating sequences.  Its one
-state is the path: its vertices, its facets, and two vertex bit masks, of
-the path's vertices and of its facets' vertices.  Vertices and facets stay
-distinct; under ``only_special`` specialness-so-far is read from the
-masks, since every path facet already holds the two path vertices it
+The search is exhaustive backtracking over alternating sequences, read
+straight off the complex's incidence (``facets_at``, ``positions`` and
+``masks``, by facet index), so a call builds no lookup tables.  Its one
+state is the path: its vertices, its facets, the position of its end, a
+bit mask of its facets' indices, and two vertex bit masks, of the path's
+vertices and of its facets' vertices.  Vertices and facets stay distinct
+by those masks; under ``only_special`` specialness-so-far is read from
+them, since every path facet already holds the two path vertices it
 joins: a facet holding two path vertices is not extended through, and a
 vertex in a path facet is not added.  A canonical form kills duplicates —
 every cycle is generated exactly once, started at its smallest vertex with
@@ -26,7 +29,8 @@ does, the search enters a longer path only when a parity relaxation
 its end back to its start, through facets that meet the path where a
 special closure must, over fresh vertices (candidates above the start, in
 no path facet), adding a number of vertices that makes the cycle odd.
-Only subtrees without a yield are cut, so the yields and their order are
+Its step facets are the facet masks cut to the candidates once per call,
+keeping those with two or more.  Only subtrees without a yield are cut, so the yields and their order are
 those of the unpruned search and only the expansion count falls.  The cut
 is strong while facets hold at most two fresh vertices, as in bipartite
 satellite trees; a facet with three or more is a triangle in the
@@ -114,50 +118,44 @@ def _canonical_closure_ok(
 
 
 def _closable(
-    masks: tuple[int, ...],
-    first: list[int],
-    closing: list[int],
-    used: int,
-    w_bit: int,
-    start_bit: int,
-    fresh: int,
+    masks: tuple[int, ...], steps: tuple[int, ...], first: tuple[int, ...],
+    closing: tuple[int, ...], used: int, w_bit: int, start_bit: int, fresh: int,
     odd: bool,
 ) -> bool:
     """Whether a path ending at w may still close a special odd cycle.
 
     A relaxation, over vertex bit masks: ``used`` holds the path's vertices,
-    ``first`` and ``closing`` the masks of the facets through w and through
-    the start, ``fresh`` the vertices the path may still add and ``odd``
-    whether the path has odd length.  A facet meeting the path in exactly
-    {w, start} closes an odd path at once.  Otherwise the remainder leaves
-    w through a facet meeting the path in exactly {w}, crosses facets that
-    miss the path, and returns through a facet meeting it in exactly
-    {start}; each step goes from a fresh vertex to another fresh vertex of
-    its facet.  A breadth-first search over (vertex, parity) asks whether
-    such a walk adds a number of vertices of the parity that makes the
-    cycle odd.  Every special odd closure of the path is such a walk, so a
-    False here cuts only subtrees that yield nothing.
+    ``first`` and ``closing`` index the facets through w and the start in
+    ``masks``, ``fresh`` the vertices the path may add and ``odd`` whether
+    its length is odd.  ``steps`` are the facets cut to the candidates; the
+    path and ``fresh`` hold only candidates, so the cut loses nothing.  A
+    facet meeting the path in exactly {w, start} closes an odd path at once.
+    Otherwise the remainder leaves w through a facet meeting the path in
+    exactly {w}, crosses facets that miss the path, and returns through a
+    facet meeting it in exactly {start}; each step goes from a fresh vertex
+    to another fresh vertex of its facet.  A breadth-first search over
+    (vertex, parity) asks whether such a walk adds a number of vertices of
+    the parity that makes the cycle odd.  Every special odd closure of the
+    path is such a walk, so a False cuts only subtrees without a yield.
     """
     ends = start_bit | w_bit
     reach = 0
-    for g in first:
+    for j in first:
+        g = masks[j]
         inside = g & used
         if inside == w_bit:
             reach |= g & fresh
         elif odd and inside == ends:
             return True
     target = 0
-    for g in closing:
+    for j in closing:
+        g = masks[j]
         if g & used == start_bit:
             target |= g & fresh
     if not reach or not target:
         return False
-    steps = []
-    for g in masks:
-        if not g & used:
-            g &= fresh
-            if g & (g - 1):  # a step needs two fresh vertices
-                steps.append(g)
+    # steps missing the path, cut to its fresh vertices; a step needs two
+    live = [g for g in (h & fresh for h in steps if not h & used) if g & (g - 1)]
     # reach holds the walks that added one vertex; an odd path needs an
     # even number of vertices more, an even path an odd number
     seen = [0, 0]
@@ -168,7 +166,7 @@ def _closable(
             return True
         seen[parity] |= reach
         nxt = 0
-        for g in steps:
+        for g in live:
             hit = g & reach
             if hit:
                 # from a lone vertex of g, only the other vertices of g
@@ -198,9 +196,10 @@ def enumerate_cycles(
         check_order(max_s, None, "max_s")
     if budget is not None:
         check_order(budget, 0, "budget")
-    ids, at = cx.facet_ids, cx.facets_at
-    facets_of = {v: [ids[j] for j in at[p]] for p, v in enumerate(cx.active_vertices)}
-    candidates = [v for v in cx.active_vertices if len(facets_of[v]) >= 2]
+    ids, masks, at, labels = cx.facet_ids, cx.masks, cx.facets_at, cx.active_vertices
+    positions = cx.positions
+    # candidates: positions of the vertices in two or more facets
+    candidates = [p for p, fs in enumerate(at) if len(fs) >= 2]
     cap = min(len(ids), len(candidates))
     if max_s is not None:
         cap = min(cap, max_s)
@@ -208,67 +207,68 @@ def enumerate_cycles(
     if cap < min_close:
         return
     prune = only_special and odd_only
-    masks = cx.masks
-    mask_of = dict(zip(ids, masks))
-    masks_at = {v: [mask_of[fid] for fid in fids] for v, fids in facets_of.items()}
-    cand_bits = 0
-    for v in candidates:
-        cand_bits |= 1 << (v - 1)
+    cand_bits = sum(1 << (labels[p] - 1) for p in candidates)
+    steps = tuple(g for g in (m & cand_bits for m in masks) if g & (g - 1))
     spent = 0
 
     def extend(
-        path_v: list[int], path_f: list[int], used: int, in_path_f: int
+        path_v: list[int], path_f: list[int], end: int,
+        used: int, in_path_f: int, f_used: int,
     ) -> Iterator[Cycle]:
-        # used: the path's vertices; in_path_f: the vertices of its facets
+        # end: the position of the path's last vertex; used: its vertices;
+        # in_path_f: the vertices of its facets; f_used: their indices
         nonlocal spent
         spent += 1
         if budget is not None and spent > budget:
             raise BudgetExceededError(
                 f"cycle search exceeded its budget of {budget} expansions"
             )
-        start = path_v[0]
-        for fid in facets_of[path_v[-1]]:
-            if fid in path_f:
+        n = len(path_v)
+        closes = n >= min_close and (not odd_only or n % 2 == 1)
+        # the vertices the path may add: candidates above the start, off it
+        fresh = above & ~used
+        if only_special:
+            fresh &= ~in_path_f
+        for j in at[end]:
+            f_bit = 1 << j
+            if f_used & f_bit:
                 continue
-            fverts, fmask = cx.facet(fid), mask_of[fid]
+            fmask = masks[j]
             inside = (fmask & used).bit_count()
             # close the cycle
             if (
-                start in fverts
-                and len(path_v) >= min_close
-                and (not odd_only or len(path_v) % 2 == 1)
+                closes
+                and fmask & start_bit
                 and (not only_special or inside <= 2)
-                and _canonical_closure_ok(path_v, path_f, fid)
+                and _canonical_closure_ok(path_v, path_f, ids[j])
             ):
-                yield Cycle(tuple(path_v), tuple(path_f + [fid]))
+                yield Cycle(tuple(path_v), tuple(path_f + [ids[j]]))
             # extend the path
-            if len(path_v) == cap or (only_special and inside >= 2):
+            if n == cap or (only_special and inside >= 2) or not fmask & fresh:
                 continue
             beyond = in_path_f | fmask
-            for w in sorted(fverts):
+            for p in positions[j]:
+                w = labels[p]
                 w_bit = 1 << (w - 1)
-                if w <= start or used & w_bit or len(facets_of[w]) < 2:
-                    continue
-                if only_special and in_path_f & w_bit:
+                if not fresh & w_bit:
                     continue
                 if prune and not _closable(
-                    masks,
-                    masks_at[w],
-                    masks_at[start],
-                    used | w_bit,
-                    w_bit,
-                    1 << (start - 1),
-                    cand_bits >> start << start & ~beyond,  # above the start
-                    len(path_v) % 2 == 0,
+                    masks, steps, at[p], closing, used | w_bit, w_bit, start_bit,
+                    above & ~beyond, n % 2 == 0,
                 ):
                     continue
                 yield from extend(
-                    path_v + [w], path_f + [fid], used | w_bit, beyond
+                    path_v + [w], path_f + [ids[j]], p,
+                    used | w_bit, beyond, f_used | f_bit,
                 )
 
     try:
-        for start in candidates:
-            yield from extend([start], [], 1 << (start - 1), 0)
+        for start_p in candidates:
+            start = labels[start_p]
+            start_bit = 1 << (start - 1)
+            above = cand_bits >> start << start
+            closing = at[start_p]
+            yield from extend([start], [], start_p, start_bit, 0, 0)
     finally:
         del extend  # the closure refers to itself; free the cycle now
 

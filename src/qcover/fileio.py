@@ -62,9 +62,14 @@ def parse_facets_text(text: str) -> list[list[int]]:
             continue
         row = []
         for tok in stripped.split():
+            # ASCII -?[0-9]+ only: int() would also take "1_0", "+1" and
+            # non-ASCII digits
+            digits = tok[1:] if tok[:1] == "-" else tok
             try:
+                if not (digits.isascii() and digits.isdigit()):
+                    raise ValueError
                 row.append(int(tok))
-            except ValueError:
+            except ValueError:  # a bad token, or past the int-to-str digit limit
                 raise InputFormatError(
                     f"line {lineno}: {echo(tok)} cannot be read as an integer vertex "
                     "label"

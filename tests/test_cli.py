@@ -100,6 +100,25 @@ BAD_INPUTS = {
     ),
     "float.json": (b'{"facets": [[1, 2.5]]}', "labels must be integers"),
     "float.txt": (b"1 2.5\n", "'2.5' cannot be read as an integer vertex label"),
+    "underscore.txt": (
+        b"1_0 2\n2 3\n",
+        "line 1: '1_0' cannot be read as an integer vertex label",
+    ),
+    "plus.txt": (b"+1 2\n", "line 1: '+1' cannot be read as an integer vertex label"),
+    "arabic-indic.txt": (
+        "\u0663 1\n".encode(),
+        "line 1: '\u0663' cannot be read as an integer vertex label",
+    ),
+    "fullwidth.txt": (
+        "1 \uff12\n".encode(),
+        "line 1: '\uff12' cannot be read as an integer vertex label",
+    ),
+    "lone-minus.txt": (b"1 -\n", "line 1: '-' cannot be read as an integer vertex label"),
+    "double-minus.txt": (
+        b"--1 2\n",
+        "line 1: '--1' cannot be read as an integer vertex label",
+    ),
+    "negative.txt": (b"1 -2\n2 3\n", "vertex labels must be positive integers"),
     "not-utf8.txt": (b"1 2\n\xff\xfe\n", "can't decode byte 0xff"),
     "empty.txt": (b"", "empty input"),
     "many-vertices.txt": (
