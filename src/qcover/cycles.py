@@ -30,13 +30,13 @@ its end back to its start, through facets that meet the path where a
 special closure must, over fresh vertices (candidates above the start, in
 no path facet), adding a number of vertices that makes the cycle odd.
 Its step facets are the facet masks cut to the candidates once per call,
-keeping those with two or more.  Only subtrees without a yield are cut, so the yields and their order are
-those of the unpruned search and only the expansion count falls.  The cut
-is strong while facets hold at most two fresh vertices, as in bipartite
-satellite trees; a facet with three or more is a triangle in the
-relaxation, which then reaches both parities and cuts little.  The search
-stays worst-case exponential; a node budget aborts loudly instead of
-truncating silently.
+keeping those with two or more.  Only subtrees without a yield are cut,
+so the yields and their order are those of the unpruned search and only
+the expansion count falls.  The cut is strong while facets hold at most
+two fresh vertices, as in bipartite satellite trees; a facet with three
+or more is a triangle in the relaxation, which then reaches both
+parities and cuts little.  The search stays worst-case exponential; a
+node budget aborts loudly instead of truncating silently.
 """
 
 from __future__ import annotations

@@ -242,12 +242,17 @@ def test_tree_invariants_across_random_rules(quasi_tree_corpus):
                     assert is_leaf(cx, fid)
 
 
-def test_greedy_peel_builds_the_tree_of_its_own_order():
+@pytest.fixture(scope="module")
+def universe():
+    out = check_universe()
+    assert len(out) == 2434
+    return out
+
+
+def test_greedy_peel_builds_the_tree_of_its_own_order(universe):
     # is_standard_graded and `qcover dot` build the tree from the greedy peel
     # instead of re-peeling its order; the steps, and so the tree and the
     # random rule's stream, must be the same on every universe quasi-tree
-    universe = check_universe()
-    assert len(universe) == 2434
     for key, cx in universe:
         steps = list(peel_leaves(cx))
         order = leaf_order(cx)
@@ -275,9 +280,7 @@ PEEL_CALLS = {
 @pytest.mark.parametrize(
     "call, count, digest", PINNED_PEELS, ids=[row[0] for row in PINNED_PEELS]
 )
-def test_peel_steps_are_pinned_on_the_check_universe(call, count, digest):
-    universe = check_universe()
-    assert len(universe) == 2434
+def test_peel_steps_are_pinned_on_the_check_universe(universe, call, count, digest):
     listed = [[[f, list(b)] for f, b in PEEL_CALLS[call](cx)] for _, cx in universe]
     assert sum(map(len, listed)) == count
     assert hashlib.sha256(json.dumps(listed).encode()).hexdigest() == digest
