@@ -199,14 +199,18 @@ def yield_corpus(quasi_tree_corpus, small_complex_corpus):
 )
 def test_enumeration_yields_are_pinned(yield_corpus, only_special, odd_only, count, digest):
     assert len(yield_corpus) == 712
+    assert _yields(yield_corpus, only_special, odd_only) == (count, digest)
+
+
+def _yields(corpus, only_special, odd_only):
+    """(total yields, sha256 of json.dumps of the per-complex yield lists)."""
     listed = [
         [[list(c.vertices), list(c.facets)] for c in enumerate_cycles(
             cx, only_special=only_special, odd_only=odd_only
         )]
-        for cx in yield_corpus
+        for cx in corpus
     ]
-    assert sum(map(len, listed)) == count
-    assert hashlib.sha256(json.dumps(listed).encode()).hexdigest() == digest
+    return sum(map(len, listed)), hashlib.sha256(json.dumps(listed).encode()).hexdigest()
 
 
 def test_special_odd_yields_match_the_unpruned_search(yield_corpus):
@@ -295,14 +299,7 @@ def test_enumeration_yields_on_smd_views_are_pinned(
     view_corpus, only_special, odd_only, count, digest
 ):
     assert len(view_corpus) == 140
-    listed = [
-        [[list(c.vertices), list(c.facets)] for c in enumerate_cycles(
-            view, only_special=only_special, odd_only=odd_only
-        )]
-        for view in view_corpus
-    ]
-    assert sum(map(len, listed)) == count
-    assert hashlib.sha256(json.dumps(listed).encode()).hexdigest() == digest
+    assert _yields(view_corpus, only_special, odd_only) == (count, digest)
 
 
 def test_node_counts_on_smd_views_are_pinned(view_corpus):
