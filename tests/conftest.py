@@ -9,7 +9,11 @@ import qcover
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from corpus import build_quasi_tree_corpus, build_small_complex_corpus  # noqa: E402
+from corpus import (  # noqa: E402
+    build_quasi_tree_corpus,
+    build_small_complex_corpus,
+    check_universe,
+)
 
 
 @pytest.fixture(scope="session")
@@ -20,6 +24,14 @@ def quasi_tree_corpus():
 @pytest.fixture(scope="session")
 def small_complex_corpus():
     return build_small_complex_corpus()
+
+
+@pytest.fixture(scope="session")
+def universe():
+    """The check benchmark's quasi-tree inputs, built once per session."""
+    out = check_universe()
+    assert len(out) == 2434
+    return out
 
 
 @pytest.fixture(scope="session")

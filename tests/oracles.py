@@ -2,16 +2,115 @@
 
 Everything here works on plain facet lists (lists of frozensets) and plain
 Python loops, deliberately sharing no code with the package: where the
-engine prunes, canonicalizes or vectorizes, these enumerate.
+engine prunes, canonicalizes or vectorizes, these enumerate.  The one
+exception is the error classes and ``echo``, which the constructor oracle
+raises and quotes with so that its messages can be compared.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from qcover.errors import (
+    AntichainViolationError,
+    DuplicateFacetError,
+    EmptyFacetError,
+    EmptySelectionError,
+    TooManyVerticesError,
+    UncoveredVertexError,
+    echo,
+)
+
 
 def facet_sets(cx) -> list[frozenset[int]]:
     return [cx.facet(fid) for fid in cx.facet_ids]
+
+
+# --- complexes ------------------------------------------------------------------
+
+# the fields a complex sets, compared between the engine and the oracle
+COMPLEX_FIELDS = (
+    "vertex_count",
+    "facet_ids",
+    "facets",
+    "masks",
+    "active_vertices",
+    "positions",
+    "facets_at",
+    "_id_mask",
+)
+
+
+def oracle_new_complex(facets) -> dict:
+    """The pairwise constructor: validate, canonicalize, then select all facets.
+
+    Checks each facet in input order (empty, label type and sign,
+    duplicate), then every pair of facets in input order for a strict
+    containment, then the label range and density, and returns the
+    complex's fields by name.
+    """
+    raw = list(facets)
+    if not raw:
+        raise EmptySelectionError("a complex needs at least one facet")
+    cleaned = []
+    seen = set()
+    for idx, f in enumerate(raw):
+        fs = frozenset(f)
+        if not fs:
+            raise EmptyFacetError(f"facet #{idx + 1} is empty")
+        for v in fs:
+            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+                raise ValueError(
+                    f"facet #{idx + 1} contains {echo(v)}; vertex labels must be "
+                    "positive integers"
+                )
+        if fs in seen:
+            raise DuplicateFacetError(f"facet {sorted(fs)} appears more than once")
+        seen.add(fs)
+        cleaned.append(fs)
+    for i, f in enumerate(cleaned):
+        for g in cleaned[i + 1:]:
+            if f < g:
+                raise AntichainViolationError(f, g)
+            if g < f:
+                raise AntichainViolationError(g, f)
+    n = max(max(f) for f in cleaned)
+    if n > 64:
+        raise TooManyVerticesError(
+            f"{echo(n)} vertex labels; the engine supports at most 64"
+        )
+    covered = frozenset().union(*cleaned)
+    missing = [v for v in range(1, n + 1) if v not in covered]
+    if missing:
+        raise UncoveredVertexError(
+            f"labels {missing} belong to no facet (labels must be dense 1..n)"
+        )
+    ordered = tuple(sorted(cleaned, key=lambda f: tuple(sorted(f))))
+    return _oracle_select(n, tuple(range(1, len(ordered) + 1)), ordered)
+
+
+def oracle_smd(root: dict, ids) -> dict:
+    """The fields of the view of ``oracle_new_complex``'s ``root`` on ``ids``."""
+    ids = tuple(sorted(set(ids)))
+    return _oracle_select(
+        root["vertex_count"], ids, tuple(root["facets"][i - 1] for i in ids)
+    )
+
+
+def _oracle_select(n, ids, facets) -> dict:
+    active = tuple(sorted(frozenset().union(*facets)))
+    return {
+        "vertex_count": n,
+        "facet_ids": ids,
+        "facets": facets,
+        "masks": tuple(sum(1 << (v - 1) for v in f) for f in facets),
+        "active_vertices": active,
+        "positions": tuple(tuple(sorted(active.index(v) for v in f)) for f in facets),
+        "facets_at": tuple(
+            tuple(j for j, f in enumerate(facets) if v in f) for v in active
+        ),
+        "_id_mask": sum(1 << (i - 1) for i in ids),
+    }
 
 
 # --- covers ---------------------------------------------------------------------

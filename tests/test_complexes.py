@@ -3,6 +3,8 @@ import itertools
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qcover import (
     AntichainViolationError,
@@ -19,6 +21,7 @@ from qcover.errors import echo
 from qcover.families import GeneratorSeed, delta_n, double_fan, random_quasi_tree
 
 from corpus import LARGE_SEEDS
+from oracles import COMPLEX_FIELDS, oracle_new_complex, oracle_smd
 
 
 def test_fan_complex_shape():
@@ -222,3 +225,76 @@ def test_seeded_corpora_are_pinned(request, corpus, count, digest):
     assert len(complexes) == count
     listed = [[sorted(f) for f in cx.facets] for cx in complexes]
     assert hashlib.sha256(json.dumps(listed).encode()).hexdigest() == digest
+
+
+def _fields(cx):
+    return {name: getattr(cx, name) for name in COMPLEX_FIELDS}
+
+
+def _outcome(build, facets):
+    """build(facets), or the type, message and reported pair of what it raised."""
+    try:
+        return build(facets)
+    except Exception as exc:
+        pair = (exc.smaller, exc.larger) if isinstance(exc, AntichainViolationError) else None
+        return type(exc), str(exc), pair
+
+
+def test_constructor_matches_the_pairwise_oracle_on_the_check_universe(universe):
+    for key, cx in universe:
+        # facets and their labels in reverse, so the canonical sort has work
+        raw = [sorted(f, reverse=True) for f in reversed(cx.facets)]
+        root = oracle_new_complex(raw)
+        assert _fields(new_complex(raw)) == root, key
+        ids = cx.facet_ids
+        for sub in (ids[::2], ids[1:]):
+            if sub:
+                assert _fields(smd(cx, sub)) == oracle_smd(root, sub), (key, sub)
+
+
+class Label(int):
+    """An int subclass, accepted as a vertex label like a plain int."""
+
+
+# labels past the happy path: 0, negatives, bools, past 64 and past the
+# int-to-str digit limit, and an int subclass
+ODD_LABELS = (0, -1, True, False, 65, 2**64, 10**5000, -(10**5000), Label(2))
+
+
+def _pick(draw, items, min_size=1):
+    """A list of items drawn by index, with repeats: hypothesis cannot repr a
+    label past the digit limit, so no strategy holds one."""
+    ix = st.integers(0, len(items) - 1)
+    return [items[i] for i in draw(st.lists(ix, min_size=min_size, max_size=len(items)))]
+
+
+@st.composite
+def raw_facet_lists(draw):
+    """Facet lists with repeats, gaps, duplicates and several nested pairs."""
+    label = st.integers(1, draw(st.sampled_from((3, 5, 7, 9, 70))))
+    if draw(st.integers(0, 3)) == 2:
+        odd = st.integers(0, len(ODD_LABELS) - 1).map(ODD_LABELS.__getitem__)
+        label = st.one_of(label, odd)
+    drawn = draw(st.sets(st.frozensets(label, min_size=1, max_size=5), min_size=1, max_size=7))
+    facets = [list(f) + _pick(draw, list(f), min_size=0) for f in drawn]
+    for _ in range(draw(st.integers(0, 2))):  # a subset or a copy of a drawn facet
+        sub = _pick(draw, facets[draw(st.integers(0, len(facets) - 1))])
+        facets.insert(draw(st.integers(0, len(facets))), sub)
+    if draw(st.integers(0, 19)) == 13:
+        facets.insert(draw(st.integers(0, len(facets))), [])
+    return [] if draw(st.integers(0, 39)) == 13 else facets
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_facet_lists())
+@example([])
+@example([[1, 2], []])
+@example([[2, 3], [1], [3, 2, 2], [1, 2]])
+@example([[1, 2], [2, 3], [3], [1, 2, 3], [2]])
+@example([[1, 10**5000], [1]])
+@example([[True, 2], [2, 1]])
+@example([[1, True], [2, 1]])
+@example([[65, 1], [1, 2, 3]])
+def test_constructor_matches_the_pairwise_oracle_on_raw_facet_lists(raw):
+    want = _outcome(oracle_new_complex, raw)
+    assert _outcome(lambda f: _fields(new_complex(f)), raw) == want

@@ -33,7 +33,7 @@ from qcover import (
 from qcover.families import GeneratorSeed, delta_n, double_fan, random_quasi_tree
 from qcover.quasiforest import _peel_order, _tree_from_steps, peel_leaves
 
-from corpus import LARGE_SEEDS, check_universe
+from corpus import LARGE_SEEDS
 from oracles import (
     facet_sets,
     oracle_has_leaf_order,
@@ -240,13 +240,6 @@ def test_tree_invariants_across_random_rules(quasi_tree_corpus):
                 assert is_branch_ancestor(tree, tree.root, fid)
                 if tree.degree(fid) == 1:
                     assert is_leaf(cx, fid)
-
-
-@pytest.fixture(scope="module")
-def universe():
-    out = check_universe()
-    assert len(out) == 2434
-    return out
 
 
 def test_greedy_peel_builds_the_tree_of_its_own_order(universe):
