@@ -151,7 +151,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         artifact = Path(f"qcover-disagreement-{complex_digest(cx)[:16]}.json")
         artifact.write_text(
             json.dumps(
-                {"facets": [sorted(f) for f in cx.facets], "report": result},
+                {"facets": [list(row) for row in cx.rows], "report": result},
                 indent=2,
             )
             + "\n",

@@ -4,7 +4,9 @@ Two interchangeable input formats:
 
 * JSON: ``{"facets": [[1,2,3],[2,4], ...]}`` with 1-based vertex labels,
 * text: one facet per line, vertices whitespace-separated; blank lines and
-  ``#`` comment lines are ignored.
+  ``#`` comment lines are ignored.  Lines end only at ``\n``, ``\r\n`` and
+  ``\r``; other line-breaking characters, such as ``\f``, ``\v``, ``\x85``
+  and U+2028, separate labels like any whitespace.
 
 Writers emit facets in canonical order, so parse -> write round-trips any
 equivalent input to identical bytes.
@@ -41,22 +43,23 @@ def parse_facets_json(text: str) -> list[list[int]]:
     facets = doc["facets"]
     if not isinstance(facets, list):
         raise InputFormatError('"facets" must be a list of vertex lists')
-    out = []
     for idx, f in enumerate(facets):
         if not isinstance(f, list):
             raise InputFormatError(f'"facets"[{idx}] is not a list')
         for v in f:
+            if v.__class__ is int:
+                continue
             if not isinstance(v, int) or isinstance(v, bool):
                 raise InputFormatError(
                     f'"facets"[{idx}] contains {echo(v)}; labels must be integers'
                 )
-        out.append(list(f))
-    return out
+    return facets
 
 
 def parse_facets_text(text: str) -> list[list[int]]:
     out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -94,12 +97,11 @@ def load_complex(path: Union[str, Path]) -> SimplicialComplex:
 
 
 def to_json(cx: SimplicialComplex) -> str:
-    doc = {"facets": [sorted(f) for f in cx.facets]}
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+    return json.dumps({"facets": cx.rows}, separators=(",", ":")) + "\n"
 
 
 def to_text(cx: SimplicialComplex) -> str:
-    return "".join(" ".join(str(v) for v in sorted(f)) + "\n" for f in cx.facets)
+    return "".join(" ".join(map(str, row)) + "\n" for row in cx.rows)
 
 
 def complex_digest(cx: SimplicialComplex) -> str:

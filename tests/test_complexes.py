@@ -227,6 +227,14 @@ def test_seeded_corpora_are_pinned(request, corpus, count, digest):
     assert hashlib.sha256(json.dumps(listed).encode()).hexdigest() == digest
 
 
+def test_rows_are_the_facets_in_ascending_label_order(
+    quasi_tree_corpus, small_complex_corpus
+):
+    for cx in [*quasi_tree_corpus, *small_complex_corpus]:
+        for view in (cx, smd(cx, cx.facet_ids[::2])):
+            assert view.rows == tuple(tuple(sorted(f)) for f in view.facets)
+
+
 def _fields(cx):
     return {name: getattr(cx, name) for name in COMPLEX_FIELDS}
 
@@ -295,6 +303,9 @@ def raw_facet_lists(draw):
 @example([[True, 2], [2, 1]])
 @example([[1, True], [2, 1]])
 @example([[65, 1], [1, 2, 3]])
+@example([[0], 5])
+@example([[1, 2], [1], 5])
+@example([[1, 1], [2, [3]]])
 def test_constructor_matches_the_pairwise_oracle_on_raw_facet_lists(raw):
     want = _outcome(oracle_new_complex, raw)
     assert _outcome(lambda f: _fields(new_complex(f)), raw) == want

@@ -362,6 +362,23 @@ PINNED_DMAX = [
 ]
 
 
+def _delta_certificates(n):
+    """The lexicographically first certificates of max_generator_degree(delta_n(n), n).
+
+    Degree 1 is e_n + e_2n; degree j = 2..n-1 has ones on the centre
+    vertices n-j..n.
+    """
+
+    def ones(labels):
+        return tuple(int(v in labels) for v in range(1, 2 * n + 1))
+
+    return {1: ones({n, 2 * n}), **{j: ones(range(n - j, n + 1)) for j in range(2, n)}}
+
+
+# the delta_n dmax table: d = n - 1 for n = 3..7
+PINNED_DMAX += [(delta_n(n), n, n - 1, _delta_certificates(n)) for n in range(3, 8)]
+
+
 @pytest.mark.parametrize("cx, k_max, d, certs", PINNED_DMAX)
 def test_max_generator_degree_is_pinned(cx, k_max, d, certs):
     want = {k: CoverVector(a, k) for k, a in certs.items()}

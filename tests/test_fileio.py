@@ -52,6 +52,34 @@ def test_text_allows_comments_and_blanks():
     assert facets == [[1, 2], [2, 3]]
 
 
+# a line ends only at \n, \r\n or \r; \v, \f, \x1c-\x1e, \x85, U+2028 and
+# U+2029, where str.splitlines would also end one, are whitespace
+@pytest.mark.parametrize(
+    "text, facets",
+    [
+        ("1 2\x0c2 3", [[1, 2, 2, 3]]),
+        ("1 2\x0b3\n2 3\n", [[1, 2, 3], [2, 3]]),
+        ("1\x1c2\x1d3\x1e4", [[1, 2, 3, 4]]),
+        ("1 2\x853\u20284\u20295", [[1, 2, 3, 4, 5]]),
+        ("1 2\r\n2 3\r3 4\n", [[1, 2], [2, 3], [3, 4]]),
+        ("# a comment\x0c1 2\n2 3", [[2, 3]]),
+    ],
+    ids=["form-feed", "vertical-tab", "separators", "unicode-breaks", "crlf-cr-lf", "comment"],
+)
+def test_text_lines_end_only_at_newlines(text, facets):
+    assert parse_facets(text) == facets
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [("1 2\x0b2 x", 1), ("1 2\u20282 x\n", 1), ("1 2\r\n\r\n2 x", 3), ("1\r2\rx", 3)],
+    ids=["vertical-tab", "line-separator", "crlf", "cr"],
+)
+def test_text_errors_name_the_line_an_editor_shows(text, line):
+    with pytest.raises(InputFormatError, match=f"^line {line}: 'x' cannot be read"):
+        parse_facets(text)
+
+
 @pytest.mark.parametrize(
     "text",
     [
