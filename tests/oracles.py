@@ -168,15 +168,25 @@ def oracle_indecomposable_covers(cx, k) -> list[tuple[int, ...]]:
 # --- leaves and leaf orders --------------------------------------------------------
 
 
-def oracle_is_leaf(facets, idx) -> bool:
+def oracle_branches(facets, idx) -> tuple[int, ...]:
+    """Indices of the branches of facets[idx], ascending; empty for a non-leaf.
+
+    G is a branch of F when H∩F ⊆ G∩F for every other facet H; a lone
+    facet is its own branch.
+    """
     f = facets[idx]
-    others = [g for j, g in enumerate(facets) if j != idx]
+    others = [j for j in range(len(facets)) if j != idx]
     if not others:
-        return True
-    for g in others:
-        if all((h & f) <= (g & f) for h in others):
-            return True
-    return False
+        return (idx,)
+    return tuple(
+        j
+        for j in others
+        if all((facets[h] & f) <= (facets[j] & f) for h in others)
+    )
+
+
+def oracle_is_leaf(facets, idx) -> bool:
+    return bool(oracle_branches(facets, idx))
 
 
 def oracle_is_leaf_order(facets, perm) -> bool:

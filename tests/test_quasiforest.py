@@ -36,6 +36,7 @@ from qcover.quasiforest import _peel_order, _tree_from_steps, peel_leaves
 from corpus import LARGE_SEEDS
 from oracles import (
     facet_sets,
+    oracle_branches,
     oracle_has_leaf_order,
     oracle_is_leaf_order,
     oracle_minimal_subtree,
@@ -66,6 +67,17 @@ def test_triangle_has_no_leaf():
 def test_single_facet_is_its_own_branch():
     cx = new_complex([{1}])
     assert find_leaf(cx) == (1, (1,))
+
+
+@pytest.mark.parametrize("corpus", ["small_complex_corpus", "quasi_tree_corpus"])
+def test_leaf_queries_match_the_branch_oracle(request, corpus):
+    for cx in request.getfixturevalue(corpus):
+        facets, ids = facet_sets(cx), cx.facet_ids
+        want = [tuple(ids[j] for j in oracle_branches(facets, i)) for i in range(len(ids))]
+        assert [branches_of(cx, fid) for fid in ids] == want
+        assert [is_leaf(cx, fid) for fid in ids] == [bool(b) for b in want]
+        first = next((i for i, b in enumerate(want) if b), None)
+        assert find_leaf(cx) == (None if first is None else (ids[first], want[first]))
 
 
 # --- leaf orders -----------------------------------------------------------
