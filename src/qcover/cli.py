@@ -193,8 +193,8 @@ def cmd_dot(args: argparse.Namespace) -> int:
             ) from None
         tree = relation_tree(cx, order, rule)
     else:
-        steps = list(peel_leaves(cx))
-        if not all(branches for _, branches in steps):
+        steps = peel_leaves(cx)
+        if steps is None:
             print("error: complex has no leaf order", file=sys.stderr)
             return EXIT_NOT_QUASI_TREE
         tree = _tree_from_steps(steps, rule)

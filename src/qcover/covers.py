@@ -433,8 +433,8 @@ def _witness_cover(
     It still peels to detach, and it re-checks the cover it returns.
     """
     core = minimal_subtree(tree, cycle.facets)
-    steps = list(peel_leaves(cx, keep=frozenset(core.nodes)))
-    if not all(branches for _, branches in steps):
+    steps = peel_leaves(cx, keep=frozenset(core.nodes))
+    if steps is None:
         raise VerificationFailedError(
             "no detachable leaf outside the cycle core; not a quasi-tree?"
         )

@@ -64,8 +64,8 @@ def is_standard_graded(
     One greedy peel checks the quasi-tree and gives the relation tree; the
     witness builder behind :func:`witness_cover_from_cycle` skips its guards.
     """
-    steps = list(peel_leaves(cx)) if cx.is_connected() else None
-    if steps is None or not all(branches for _, branches in steps):
+    steps = peel_leaves(cx) if cx.is_connected() else None
+    if steps is None:
         raise NotQuasiTreeError(
             "the cycle criterion only decides quasi-trees; "
             "brute_force_verdict handles arbitrary complexes up to a bound"

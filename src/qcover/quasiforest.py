@@ -8,14 +8,14 @@ leaf of the preceding prefix, and a connected quasi-forest is a
 *quasi-tree* (Zheng, "Resolutions of facet ideals", 2004).
 
 Every leaf question goes through one kernel, :func:`peel_leaves`.  It
-detaches facets one at a time from a list of facet ids, using the facet
-bit masks alone, and reports the admissible branches of each detached
-facet.  Greedy leaf orders, validation of a given order, relation trees
-(from a validated order, or from the greedy peel, whose steps are those of
-its own order) and the witness detachment in :mod:`qcover.covers` consume
-a whole peel;
-:func:`branches_of`, :func:`is_leaf` and :func:`find_leaf` read its first
-step.
+detaches facets one at a time, using the facet bit masks alone, and returns
+the (facet, admissible branches) steps of a complete peel, or None when a
+step finds no leaf; callers test ``steps is None``.  Greedy leaf orders,
+validation of a given order, relation trees (from a validated order, or
+from the greedy peel, whose steps are those of its own order) and the
+witness detachment in :mod:`qcover.covers` read a whole peel;
+:func:`branches_of` is a one-facet peel, read by :func:`is_leaf` and
+:func:`find_leaf`.
 
 Quasi-forest recognition here is greedy: repeatedly detach the
 smallest-id leaf of what is left.  Greedy completeness is not assumed;
@@ -29,7 +29,7 @@ branch rules give different trees; every one of them is a tree.
 
 from __future__ import annotations
 
-from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Collection, Iterable, NamedTuple, Optional
 
 from .complexes import SimplicialComplex
 from .errors import (
@@ -78,23 +78,24 @@ def peel_leaves(
     cx: SimplicialComplex,
     detach: Optional[Iterable[int]] = None,
     keep: Collection[int] = (),
-) -> Iterator[tuple[Optional[int], tuple[int, ...]]]:
-    """Detach facets one at a time, yielding (facet, its branches) per step.
+) -> Optional[list[tuple[int, tuple[int, ...]]]]:
+    """The (facet, its branches) steps of a complete peel, or None when stuck.
 
     Each step detaches the next facet of ``detach`` when it is given (the
-    caller lists facets of ``cx``), and otherwise the smallest-id leaf
-    outside ``keep``; peeling ends once only ``keep`` is left.  Branches are
-    those of the facet among the facets left before its step, ascending;
-    the last facet standing is its own branch.  A step that finds no leaf
-    yields (None, ()) and ends the peel.
+    caller lists facets of ``cx``), or else the smallest-id leaf outside
+    ``keep``; the peel is complete once ``detach`` is used or only ``keep``
+    is left.  Branches are those of the facet among the facets left before
+    its step, ascending; the last facet standing is its own branch.  A step
+    that finds no leaf makes the whole peel None.
     """
     mask = dict(zip(cx.facet_ids, cx.masks))
     live = list(cx.facet_ids)
-    picks = None if detach is None else iter(detach)
-    while len(live) > len(keep):
+    picks = None if detach is None else list(detach)
+    steps: list[tuple[int, tuple[int, ...]]] = []
+    while len(live) > len(keep) and (picks is None or len(steps) < len(picks)):
         if len(live) == 1:
-            yield live[0], (live[0],)
-            return
+            steps.append((live[0], (live[0],)))
+            break
         # shared: vertices of two or more remaining facets, so the part of F
         # that other facets meet is mask[F] & shared, and G is a branch of F
         # when that part lies inside G
@@ -103,7 +104,7 @@ def peel_leaves(
             shared |= seen & mask[g]
             seen |= mask[g]
         candidates = (
-            [f for f in live if f not in keep] if picks is None else [next(picks)]
+            [f for f in live if f not in keep] if picks is None else [picks[len(steps)]]
         )
         for fid in candidates:
             inner = mask[fid] & shared
@@ -111,10 +112,10 @@ def peel_leaves(
             if branches:
                 break
         else:
-            yield None, ()
-            return
-        yield fid, branches
+            return None
+        steps.append((fid, branches))
         live.remove(fid)
+    return steps
 
 
 def branches_of(cx: SimplicialComplex, fid: int) -> tuple[int, ...]:
@@ -123,7 +124,8 @@ def branches_of(cx: SimplicialComplex, fid: int) -> tuple[int, ...]:
     A single-facet complex returns the facet itself (leaf by convention).
     """
     cx.facet(fid)  # raises UnknownFacetIdError for ids outside the complex
-    return next(peel_leaves(cx, detach=(fid,)))[1]
+    steps = peel_leaves(cx, detach=(fid,))
+    return () if steps is None else steps[0][1]
 
 
 def is_leaf(cx: SimplicialComplex, fid: int) -> bool:
@@ -136,8 +138,8 @@ def find_leaf(cx: SimplicialComplex) -> Optional[tuple[int, tuple[int, ...]]]:
     Returns None when the complex has no leaf at all (so it cannot be a
     quasi-forest).
     """
-    fid, branches = next(peel_leaves(cx))
-    return (fid, branches) if branches else None
+    leaves = ((fid, branches_of(cx, fid)) for fid in cx.facet_ids)
+    return next((leaf for leaf in leaves if leaf[1]), None)
 
 
 # --- leaf orders ---------------------------------------------------------------
@@ -150,16 +152,12 @@ def leaf_order(cx: SimplicialComplex) -> Optional[tuple[int, ...]]:
     returns the removal sequence reversed, so each facet is a leaf of the
     prefix that precedes it.
     """
-    steps = list(peel_leaves(cx))
-    if not all(branches for _, branches in steps):
-        return None
-    return tuple(fid for fid, _ in reversed(steps))
+    steps = peel_leaves(cx)
+    return None if steps is None else tuple(fid for fid, _ in reversed(steps))
 
 
-def _peel_order(
-    cx: SimplicialComplex, seq: list
-) -> tuple[list[int], Iterator[tuple[Optional[int], tuple[int, ...]]]]:
-    """A proposed leaf order's ids as ints, and its peel from last to first."""
+def _peel_order(cx: SimplicialComplex, seq: list) -> list[int]:
+    """A proposed leaf order's ids as ints, checked to permute the facet ids."""
     try:
         ids = [check_order(fid, None) for fid in seq]
     except ValueError:  # a bool or a non-integer entry
@@ -169,12 +167,13 @@ def _peel_order(
             f"order {echo(seq)} is not a permutation of facet ids "
             f"{echo(list(cx.facet_ids))}"
         )
-    return ids, peel_leaves(cx, detach=reversed(ids))
+    return ids
 
 
 def validate_leaf_order(cx: SimplicialComplex, order: Iterable[int]) -> bool:
     """True iff each facet in the order is a leaf of the preceding prefix."""
-    return all(branches for _, branches in _peel_order(cx, list(order))[1])
+    ids = _peel_order(cx, list(order))
+    return peel_leaves(cx, detach=reversed(ids)) is not None
 
 
 def is_quasi_forest(cx: SimplicialComplex) -> bool:
@@ -230,9 +229,9 @@ def relation_tree(
     pick one of its admissible branches in the current prefix, record the
     edge, repeat.  The first facet becomes the root with branch(root)=root.
     """
-    seq, peel = _peel_order(cx, list(order))
-    steps = list(peel)
-    if not all(branches for _, branches in steps):
+    seq = _peel_order(cx, list(order))
+    steps = peel_leaves(cx, detach=reversed(seq))
+    if steps is None:
         raise InvalidLeafOrderError(f"{seq} is not a leaf order of the complex")
     return _tree_from_steps(steps, branch_rule)
 

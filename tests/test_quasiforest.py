@@ -31,7 +31,7 @@ from qcover import (
     validate_leaf_order,
 )
 from qcover.families import GeneratorSeed, delta_n, double_fan, random_quasi_tree
-from qcover.quasiforest import _peel_order, _tree_from_steps, peel_leaves
+from qcover.quasiforest import _tree_from_steps, peel_leaves
 
 from corpus import LARGE_SEEDS
 from oracles import (
@@ -115,6 +115,25 @@ def test_triangle_has_no_leaf_order():
     assert leaf_order(cx) is None
     assert not oracle_has_leaf_order(cx)
     assert not is_quasi_tree(cx)
+
+
+@pytest.mark.parametrize("call", ["greedy", "detach", "keep"])
+def test_stuck_peels_return_none(call):
+    # no facet of the triangle is a leaf, so every kind of peel is stuck
+    # at its first step
+    kwargs = {"greedy": {}, "detach": {"detach": [1, 2, 3]}, "keep": {"keep": [1]}}
+    assert peel_leaves(new_complex(TRIANGLE), **kwargs[call]) is None
+
+
+def test_short_detach_ends_the_peel_once_used():
+    assert peel_leaves(double_fan(), detach=[5]) == [(5, (1, 4))]
+
+
+def test_a_permutation_that_is_no_leaf_order_fails_validation():
+    cx = double_fan()
+    # facet 1 is not a leaf of the whole fan, so it cannot come last
+    assert not validate_leaf_order(cx, [5, 4, 3, 2, 1])
+    assert not oracle_is_leaf_order(facet_sets(cx), [4, 3, 2, 1, 0])
 
 
 def test_not_a_permutation_raises():
@@ -259,9 +278,9 @@ def test_greedy_peel_builds_the_tree_of_its_own_order(universe):
     # instead of re-peeling its order; the steps, and so the tree and the
     # random rule's stream, must be the same on every universe quasi-tree
     for key, cx in universe:
-        steps = list(peel_leaves(cx))
+        steps = peel_leaves(cx)
         order = leaf_order(cx)
-        assert steps == list(_peel_order(cx, order)[1]), key
+        assert steps == peel_leaves(cx, detach=reversed(order)), key
         want = relation_tree(cx, order, random_branch_rule(0))
         got = _tree_from_steps(steps, random_branch_rule(0))
         assert (got, got.branch) == (want, want.branch), key
