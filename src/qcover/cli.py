@@ -25,7 +25,7 @@ from pathlib import Path
 from . import __version__
 from .complexes import SimplicialComplex
 from .cycles import DEFAULT_CYCLE_BUDGET
-from .errors import NotQuasiTreeError, QcoverError, echo
+from .errors import NotQuasiTreeError, QcoverError, check_order, echo, parse_int
 from .fileio import complex_digest, load_complex, to_json, to_text
 from .gradedness import cross_validate, is_standard_graded
 from .quasiforest import (
@@ -51,12 +51,11 @@ def _budget() -> int:
     if raw is None:
         return DEFAULT_CYCLE_BUDGET
     try:
-        budget = int(raw)
+        return check_order(parse_int(raw))
     except ValueError:
-        budget = None
-    if budget is None or budget < 0:
-        raise QcoverError(f"QCOVER_BUDGET must be a nonnegative integer, got {raw!r}")
-    return budget
+        raise QcoverError(
+            f"QCOVER_BUDGET must be a nonnegative integer, got {raw!r}"
+        ) from None
 
 
 def _emit_report(command: str, cx: SimplicialComplex, result: dict, t0: float) -> None:
@@ -186,7 +185,7 @@ def cmd_dot(args: argparse.Namespace) -> int:
     rule = min_branch_rule if args.branch_rule == "min" else max_branch_rule
     if args.order:
         try:
-            order = [int(tok) for tok in args.order.split(",")]
+            order = [parse_int(tok) for tok in args.order.split(",")]
         except ValueError:
             raise QcoverError(
                 f"--order must be comma-separated facet ids, got {echo(args.order)}"
@@ -255,6 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", default=None, help="comma-separated facet ids")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_dot)
+    # integer options follow the text-label rule; argparse's messages still say int
+    for q in (*sub.choices.values(), *fam.choices.values()):
+        q.register("type", int, parse_int)
     return parser
 
 

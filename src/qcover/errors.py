@@ -46,6 +46,18 @@ def check_order(k: int, least: Optional[int] = 0, name: str = "cover order") -> 
     return k
 
 
+def parse_int(text: str) -> int:
+    """ASCII ``-?[0-9]+`` text, spaces around allowed, as an int; else ValueError.
+
+    ``int()`` alone would also take ``1_0``, ``+1`` and non-ASCII digits.
+    """
+    token = text.strip()
+    digits = token[1:] if token[:1] == "-" else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{echo(text)} is not an ASCII integer")
+    return int(token)
+
+
 def check_seed(seed: int) -> int:
     """seed as an int, raising ValueError for a bool, a non-integer or seed < 0."""
     try:

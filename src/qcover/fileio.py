@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Union
 
 from .complexes import SimplicialComplex, new_complex
-from .errors import InputFormatError, echo
+from .errors import InputFormatError, echo, parse_int
 
 try:  # the builtin SHA-256 spares loading OpenSSL for one digest per call
     if sys.version_info >= (3, 12):
@@ -65,14 +65,9 @@ def parse_facets_text(text: str) -> list[list[int]]:
             continue
         row = []
         for tok in stripped.split():
-            # ASCII -?[0-9]+ only: int() would also take "1_0", "+1" and
-            # non-ASCII digits
-            digits = tok[1:] if tok[:1] == "-" else tok
             try:
-                if not (digits.isascii() and digits.isdigit()):
-                    raise ValueError
-                row.append(int(tok))
-            except ValueError:  # a bad token, or past the int-to-str digit limit
+                row.append(parse_int(tok))
+            except ValueError:
                 raise InputFormatError(
                     f"line {lineno}: {echo(tok)} cannot be read as an integer vertex "
                     "label"

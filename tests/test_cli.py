@@ -170,6 +170,50 @@ def test_dot_order_with_a_long_id_exits_2_with_one_error_line(capsys, fan_file):
     assert_one_error_line(capsys, argv, expected)
 
 
+# int() also takes these; the command line reads integers by the text-label
+# rule, ASCII -?[0-9]+ with spaces around
+NOT_ASCII_INTEGERS = ["\u0663", "\uff13", "1_0", "+1"]
+INTEGER_OPTIONS = {
+    "covers --k": ["covers", "FILE", "--k"],
+    "dmax --k-max": ["dmax", "FILE", "--k-max"],
+    "verify --k-max": ["verify", "FILE", "--k-max"],
+    "verify --seed": ["verify", "FILE", "--seed"],
+    "gen delta-n --n": ["gen", "delta-n", "--n"],
+    "gen random --seed": ["gen", "random", "--facets", "3", "--seed"],
+    "gen random --facets": ["gen", "random", "--seed", "1", "--facets"],
+    "gen random --max-facet-size": [
+        "gen", "random", "--seed", "1", "--facets", "3", "--max-facet-size"
+    ],
+}
+
+
+@pytest.mark.parametrize("token", NOT_ASCII_INTEGERS)
+@pytest.mark.parametrize("option", list(INTEGER_OPTIONS))
+def test_integer_options_take_only_ascii_integers(capsys, delta3_file, option, token):
+    argv = [delta3_file if a == "FILE" else a for a in INTEGER_OPTIONS[option]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [token])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    name = option.split()[-1]
+    assert f"error: argument {name}: invalid int value: {token!r}" in captured.err
+
+
+def test_integer_options_allow_spaces_around(capsys):
+    code, out = run(capsys, ["gen", "delta-n", "--n", " 3 "])
+    assert code == 0 and out == to_json(delta_n(3))
+
+
+@pytest.mark.parametrize("token", NOT_ASCII_INTEGERS)
+def test_dot_order_takes_only_ascii_integers(capsys, fan_file, token):
+    order = f"1,2,3,4,{token}"
+    expected = f"--order must be comma-separated facet ids, got {order!r}"
+    assert_one_error_line(capsys, ["dot", fan_file, "--order", order], expected)
+    code, out = run(capsys, ["dot", fan_file, "--order", " 1, 2 ,3,4,5 "])
+    assert code == 0 and out.startswith("digraph relation_tree {")
+
+
 @pytest.mark.parametrize("command", ["gen", "verify"])
 def test_negative_seed_exits_2(capsys, delta3_file, command):
     argv = {"gen": ["gen", "random", "--facets", "3"], "verify": ["verify", delta3_file]}
@@ -268,17 +312,28 @@ def test_dot_star_and_path(capsys, fan_file):
     assert "F3 -> F2;" in path
 
 
-def test_budget_env_override(capsys, delta3_file, monkeypatch):
+def test_budget_env_override(capsys, delta3_file, monkeypatch, tmp_path):
     monkeypatch.setenv("QCOVER_BUDGET", "2")
     assert main(["check", delta3_file]) == 2
     capsys.readouterr()
-    monkeypatch.setenv("QCOVER_BUDGET", "not-a-number")
-    assert main(["check", delta3_file]) == 2
+    monkeypatch.setenv("QCOVER_BUDGET", " 1000 ")
+    assert main(["check", delta3_file]) == 10
     capsys.readouterr()
-    monkeypatch.setenv("QCOVER_BUDGET", "-1")
-    assert main(["check", delta3_file]) == 2
-    err = capsys.readouterr().err
-    assert "QCOVER_BUDGET must be a nonnegative integer, got '-1'" in err
+    for raw in ["not-a-number", "-1", *NOT_ASCII_INTEGERS, "\u0661\u0660"]:
+        monkeypatch.setenv("QCOVER_BUDGET", raw)
+        assert main(["check", delta3_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: QCOVER_BUDGET must be a nonnegative integer, got {raw!r}\n"
+        )
+    # the quasi-tree decision comes first: a bad budget on a non-quasi-tree
+    # still exits 11 with its report
+    tri = tmp_path / "tri.json"
+    tri.write_text('{"facets": [[1, 2], [2, 3], [1, 3]]}')
+    code, out = run(capsys, ["check", str(tri)])
+    assert code == 11
+    assert report(out)["result"]["verdict"] is None
 
 
 def test_cli_import_leaves_numpy_unloaded(fresh_python):
