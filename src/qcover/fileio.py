@@ -67,7 +67,7 @@ def parse_facets_text(text: str) -> list[list[int]]:
         for tok in stripped.split():
             try:
                 row.append(parse_int(tok))
-            except ValueError:
+            except ValueError:  # a bad token, or past the int-to-str digit limit
                 raise InputFormatError(
                     f"line {lineno}: {echo(tok)} cannot be read as an integer vertex "
                     "label"

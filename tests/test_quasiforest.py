@@ -117,12 +117,13 @@ def test_triangle_has_no_leaf_order():
     assert not is_quasi_tree(cx)
 
 
-@pytest.mark.parametrize("call", ["greedy", "detach", "keep"])
-def test_stuck_peels_return_none(call):
+@pytest.mark.parametrize(
+    "kwargs", [{}, {"detach": [1, 2, 3]}, {"keep": [1]}], ids=["greedy", "detach", "keep"]
+)
+def test_stuck_peels_return_none(kwargs):
     # no facet of the triangle is a leaf, so every kind of peel is stuck
     # at its first step
-    kwargs = {"greedy": {}, "detach": {"detach": [1, 2, 3]}, "keep": {"keep": [1]}}
-    assert peel_leaves(new_complex(TRIANGLE), **kwargs[call]) is None
+    assert peel_leaves(new_complex(TRIANGLE), **kwargs) is None
 
 
 def test_short_detach_ends_the_peel_once_used():
@@ -133,7 +134,6 @@ def test_a_permutation_that_is_no_leaf_order_fails_validation():
     cx = double_fan()
     # facet 1 is not a leaf of the whole fan, so it cannot come last
     assert not validate_leaf_order(cx, [5, 4, 3, 2, 1])
-    assert not oracle_is_leaf_order(facet_sets(cx), [4, 3, 2, 1, 0])
 
 
 def test_not_a_permutation_raises():
