@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 from pathlib import Path
 
@@ -10,7 +11,8 @@ import pytest
 from qcover import new_complex
 from qcover.cli import main
 from qcover.families import delta_n, double_fan
-from qcover.fileio import to_json, to_text
+from qcover.fileio import load_complex, to_json, to_text
+from qcover.gradedness import CrossValidation, is_standard_graded
 
 
 @pytest.fixture()
@@ -33,9 +35,10 @@ def run(capsys, argv):
     return code, out
 
 
-def report(out):
+def report(out, command):
     doc = json.loads(out)
     assert doc["tool"] == "qcover"
+    assert doc["command"] == command
     assert set(doc) == {
         "tool",
         "version",
@@ -50,7 +53,7 @@ def report(out):
 def test_check_not_standard_graded(capsys, delta3_file):
     code, out = run(capsys, ["check", delta3_file])
     assert code == 10
-    doc = report(out)
+    doc = report(out, "check")
     verdict = doc["result"]["verdict"]
     assert verdict["standard_graded"] is False
     assert verdict["cycle_witness"]["vertices"] == [1, 2, 3]
@@ -60,7 +63,7 @@ def test_check_not_standard_graded(capsys, delta3_file):
 def test_check_standard_graded(capsys, fan_file):
     code, out = run(capsys, ["check", fan_file])
     assert code == 0
-    assert report(out)["result"]["verdict"]["standard_graded"] is True
+    assert report(out, "check")["result"]["verdict"]["standard_graded"] is True
 
 
 def test_check_non_quasi_tree(capsys, tmp_path):
@@ -68,7 +71,7 @@ def test_check_non_quasi_tree(capsys, tmp_path):
     p.write_text(to_text(new_complex([{1, 2}, {2, 3}, {1, 3}])))
     code, out = run(capsys, ["check", str(p)])
     assert code == 11
-    assert report(out)["result"]["verdict"] is None
+    assert report(out, "check")["result"]["verdict"] is None
 
 
 def test_check_malformed_input(capsys, tmp_path):
@@ -237,7 +240,7 @@ def test_covers_and_golden(capsys, delta3_file, tmp_path):
         capsys, ["covers", delta3_file, "--k", "2", "--emit-golden", str(golden)]
     )
     assert code == 0
-    doc = report(out)
+    doc = report(out, "covers")
     assert doc["result"]["covers"] == [{"a": [1, 1, 1, 0, 0, 0], "k": 2}]
     assert json.loads(golden.read_text()) == doc["result"]["covers"]
 
@@ -245,7 +248,7 @@ def test_covers_and_golden(capsys, delta3_file, tmp_path):
 def test_covers_k0(capsys, delta3_file):
     code, out = run(capsys, ["covers", delta3_file, "--k", "0"])
     assert code == 0
-    assert report(out)["result"]["count"] == 6
+    assert report(out, "covers")["result"]["count"] == 6
 
 
 def test_covers_k0_on_wide_delta(capsys, tmp_path):
@@ -253,13 +256,13 @@ def test_covers_k0_on_wide_delta(capsys, tmp_path):
     path.write_text(to_json(delta_n(32)))
     code, out = run(capsys, ["covers", str(path), "--k", "0"])
     assert code == 0
-    assert report(out)["result"]["count"] == 64
+    assert report(out, "covers")["result"]["count"] == 64
 
 
 def test_dmax_reports_bound_disclaimer(capsys, delta3_file):
     code, out = run(capsys, ["dmax", delta3_file, "--k-max", "4"])
     assert code == 0
-    result = report(out)["result"]
+    result = report(out, "dmax")["result"]
     assert result["d"] == 2
     assert result["certificates"]["2"] == {"a": [1, 1, 1, 0, 0, 0], "k": 2}
     assert "NOT explored" in result["note"]
@@ -268,19 +271,47 @@ def test_dmax_reports_bound_disclaimer(capsys, delta3_file):
 def test_verify_agreement(capsys, delta3_file, fan_file):
     code, out = run(capsys, ["verify", delta3_file, "--k-max", "2"])
     assert code == 0
-    doc = report(out)
+    doc = report(out, "verify")
     assert doc["result"]["agree"] is True
     assert doc["result"]["criterion"]["standard_graded"] is False
     code, out = run(capsys, ["verify", fan_file, "--k-max", "3"])
     assert code == 0
-    assert report(out)["result"]["criterion"]["standard_graded"] is True
+    assert report(out, "verify")["result"]["criterion"]["standard_graded"] is True
 
 
 def test_verify_rejects_non_quasi_tree(capsys, tmp_path):
     p = tmp_path / "tri.txt"
     p.write_text("1 2\n2 3\n1 3\n")
-    code, _ = run(capsys, ["verify", str(p)])
+    code, out = run(capsys, ["verify", str(p)])
     assert code == 11
+    assert report(out, "verify")["result"] == {"error": "not a quasi-tree"}
+
+
+def test_verify_disagreement_writes_an_artifact_and_exits_20(
+    capsys, delta3_file, monkeypatch, tmp_path
+):
+    # the two routes always agree on a working engine, so a stub disagrees
+    cx = load_complex(delta3_file)
+    verdict = is_standard_graded(cx)
+    monkeypatch.setattr(
+        "qcover.cli.cross_validate",
+        lambda *args, **kwargs: CrossValidation(False, verdict, verdict),
+    )
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main(["verify", delta3_file, "--k-max", "2"]) == 20
+    captured = capsys.readouterr()
+    doc = report(captured.out, "verify")
+    name = f"qcover-disagreement-{doc['input_digest'][:16]}.json"
+    assert re.fullmatch(r"qcover-disagreement-[0-9a-f]{16}\.json", name)
+    assert [p.name for p in work.iterdir()] == [name]
+    result = doc["result"]
+    assert result["agree"] is False and result["artifact"] == name
+    assert captured.err == f"disagreement artifact written to {name}\n"
+    saved = json.loads((work / name).read_text())
+    del result["artifact"]
+    assert saved == {"facets": [list(row) for row in cx.rows], "report": result}
 
 
 def test_gen_round_trips(capsys, tmp_path):
@@ -333,7 +364,7 @@ def test_budget_env_override(capsys, delta3_file, monkeypatch, tmp_path):
     tri.write_text('{"facets": [[1, 2], [2, 3], [1, 3]]}')
     code, out = run(capsys, ["check", str(tri)])
     assert code == 11
-    assert report(out)["result"]["verdict"] is None
+    assert report(out, "check")["result"]["verdict"] is None
 
 
 def test_cli_import_leaves_numpy_unloaded(fresh_python):
