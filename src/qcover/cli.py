@@ -1,7 +1,9 @@
 """Command line interface.
 
-Commands: check, covers, dmax, verify, gen, dot.  Analysis commands print
-a JSON report to stdout and use exit codes as the machine contract:
+Commands: check, covers, dmax, verify, gen, dot.  Each analysis command
+(check, covers, dmax, verify) is an answer function ``(cx, args) -> (exit
+code, result)``; :func:`analyse` starts the clock, loads the complex, calls
+the answer and prints the JSON report.  Exit codes are the machine contract:
 
   0   success (check: standard graded; verify: both routes agree)
   2   input or budget error
@@ -9,8 +11,8 @@ a JSON report to stdout and use exit codes as the machine contract:
   11  input is not a quasi-tree where one is required
   20  verify: the two routes disagree (bug artifact written)
 
-The cycle-search node budget can be overridden with the QCOVER_BUDGET
-environment variable.
+The QCOVER_BUDGET environment variable overrides the cycle-search node
+budget of check; verify's criterion always runs under the default budget.
 """
 
 from __future__ import annotations
@@ -54,20 +56,8 @@ def _budget() -> int:
         return check_order(parse_int(raw))
     except ValueError:
         raise QcoverError(
-            f"QCOVER_BUDGET must be a nonnegative integer, got {raw!r}"
+            f"QCOVER_BUDGET must be a nonnegative integer, got {echo(raw)}"
         ) from None
-
-
-def _emit_report(command: str, cx: SimplicialComplex, result: dict, t0: float) -> None:
-    report = {
-        "tool": "qcover",
-        "version": __version__,
-        "command": command,
-        "input_digest": complex_digest(cx),
-        "result": result,
-        "timing_ms": round((time.monotonic() - t0) * 1000, 3),
-    }
-    sys.stdout.write(json.dumps(report, indent=2) + "\n")
 
 
 def _write_or_print(content: str, out: str | None) -> None:
@@ -77,9 +67,24 @@ def _write_or_print(content: str, out: str | None) -> None:
         Path(out).write_text(content, encoding="utf-8")
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def analyse(args: argparse.Namespace) -> int:
+    """Load the complex, answer it, print the timed report, return the exit code."""
     t0 = time.monotonic()
     cx = load_complex(args.path)
+    code, result = args.answer(cx, args)
+    report = {
+        "tool": "qcover",
+        "version": __version__,
+        "command": args.command,
+        "input_digest": complex_digest(cx),
+        "result": result,
+        "timing_ms": round((time.monotonic() - t0) * 1000, 3),
+    }
+    sys.stdout.write(json.dumps(report, indent=2) + "\n")
+    return code
+
+
+def cmd_check(cx: SimplicialComplex, args: argparse.Namespace) -> tuple[int, dict]:
     result: dict = {
         "vertex_count": cx.vertex_count,
         "facet_count": len(cx.facets),
@@ -90,38 +95,28 @@ def cmd_check(args: argparse.Namespace) -> int:
     if not result["is_quasi_tree"]:
         result["verdict"] = None
         result["note"] = "not a quasi-tree; use dmax/covers for bound-limited analysis"
-        _emit_report("check", cx, result, t0)
-        return EXIT_NOT_QUASI_TREE
+        return EXIT_NOT_QUASI_TREE, result
     verdict = is_standard_graded(cx, budget=_budget())
     result["verdict"] = verdict.to_dict()
-    _emit_report("check", cx, result, t0)
-    return EXIT_OK if verdict.standard_graded else EXIT_NOT_STANDARD_GRADED
+    return EXIT_OK if verdict.standard_graded else EXIT_NOT_STANDARD_GRADED, result
 
 
-def cmd_covers(args: argparse.Namespace) -> int:
+def cmd_covers(cx: SimplicialComplex, args: argparse.Namespace) -> tuple[int, dict]:
     from .covers import indecomposable_covers
 
-    t0 = time.monotonic()
-    cx = load_complex(args.path)
-    covers = indecomposable_covers(cx, args.k)
-    payload = [c.to_dict() for c in covers]
+    payload = [c.to_dict() for c in indecomposable_covers(cx, args.k)]
     if args.emit_golden:
         Path(args.emit_golden).write_text(
             json.dumps(payload, separators=(",", ":")) + "\n", encoding="utf-8"
         )
-    _emit_report(
-        "covers", cx, {"k": args.k, "count": len(payload), "covers": payload}, t0
-    )
-    return EXIT_OK
+    return EXIT_OK, {"k": args.k, "count": len(payload), "covers": payload}
 
 
-def cmd_dmax(args: argparse.Namespace) -> int:
+def cmd_dmax(cx: SimplicialComplex, args: argparse.Namespace) -> tuple[int, dict]:
     from .covers import max_generator_degree
 
-    t0 = time.monotonic()
-    cx = load_complex(args.path)
     d, certs = max_generator_degree(cx, args.k_max)
-    result = {
+    return EXIT_OK, {
         "k_max": args.k_max,
         "d": d,
         "certificates": {str(k): c.to_dict() for k, c in sorted(certs.items())},
@@ -130,36 +125,30 @@ def cmd_dmax(args: argparse.Namespace) -> int:
             "bound were NOT explored and may exist"
         ),
     }
-    _emit_report("dmax", cx, result, t0)
-    return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    t0 = time.monotonic()
-    cx = load_complex(args.path)
+def cmd_verify(cx: SimplicialComplex, args: argparse.Namespace) -> tuple[int, dict]:
     rule = random_branch_rule(args.seed)
     try:
         report = cross_validate(
             cx, args.k_max, branch_rule=rule, sweep_smds=args.sweep_smds
         )
     except NotQuasiTreeError:
-        _emit_report("verify", cx, {"error": "not a quasi-tree"}, t0)
-        return EXIT_NOT_QUASI_TREE
+        return EXIT_NOT_QUASI_TREE, {"error": "not a quasi-tree"}
     result = report.to_dict()
-    if not report.agree:
-        artifact = Path(f"qcover-disagreement-{complex_digest(cx)[:16]}.json")
-        artifact.write_text(
-            json.dumps(
-                {"facets": [list(row) for row in cx.rows], "report": result},
-                indent=2,
-            )
-            + "\n",
-            encoding="utf-8",
+    if report.agree:
+        return EXIT_OK, result
+    artifact = Path(f"qcover-disagreement-{complex_digest(cx)[:16]}.json")
+    artifact.write_text(
+        json.dumps(
+            {"facets": [list(row) for row in cx.rows], "report": result}, indent=2
         )
-        result["artifact"] = str(artifact)
-        print(f"disagreement artifact written to {artifact}", file=sys.stderr)
-    _emit_report("verify", cx, result, t0)
-    return EXIT_OK if report.agree else EXIT_DISAGREEMENT
+        + "\n",
+        encoding="utf-8",
+    )
+    result["artifact"] = str(artifact)
+    print(f"disagreement artifact written to {artifact}", file=sys.stderr)
+    return EXIT_DISAGREEMENT, result
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -169,12 +158,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
         cx = delta_n(args.n)
     elif args.family == "double-fan":
         cx = double_fan()
-    elif args.family == "random":
+    else:
         cx = random_quasi_tree(
             GeneratorSeed(args.seed, args.facets, args.max_facet_size)
         )
-    else:  # pragma: no cover - argparse restricts choices
-        raise QcoverError(f"unknown family {args.family!r}")
     content = to_text(cx) if args.format == "text" else to_json(cx)
     _write_or_print(content, args.out)
     return EXIT_OK
@@ -214,25 +201,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="quasi-tree verdict via the cycle criterion")
     p.add_argument("path")
-    p.set_defaults(func=cmd_check)
+    p.set_defaults(func=analyse, answer=cmd_check)
 
     p = sub.add_parser("covers", help="list indecomposable k-covers")
     p.add_argument("path")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--emit-golden", metavar="PATH", default=None)
-    p.set_defaults(func=cmd_covers)
+    p.set_defaults(func=analyse, answer=cmd_covers)
 
     p = sub.add_parser("dmax", help="maximal generator degree up to a bound")
     p.add_argument("path")
     p.add_argument("--k-max", type=int, default=4)
-    p.set_defaults(func=cmd_dmax)
+    p.set_defaults(func=analyse, answer=cmd_dmax)
 
     p = sub.add_parser("verify", help="cross-validate criterion vs brute force")
     p.add_argument("path")
     p.add_argument("--k-max", type=int, default=4)
     p.add_argument("--seed", type=int, default=0, help="branch-rule shuffle seed")
     p.add_argument("--sweep-smds", action="store_true")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=analyse, answer=cmd_verify)
 
     p = sub.add_parser("gen", help="emit a family complex file")
     fam = p.add_subparsers(dest="family", required=True)

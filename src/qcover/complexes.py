@@ -47,6 +47,7 @@ from .errors import (
     UnknownFacetIdError,
     check_order,
     echo,
+    echo_each,
 )
 
 MAX_VERTICES = 64
@@ -81,7 +82,9 @@ def _check_facets(facets: list[frozenset[int]]) -> None:
                     "positive integers"
                 )
         if fs in seen:
-            raise DuplicateFacetError(f"facet {sorted(fs)} appears more than once")
+            raise DuplicateFacetError(
+                f"facet {echo_each(sorted(fs))} appears more than once"
+            )
         seen.add(fs)
 
 

@@ -28,6 +28,11 @@ def echo(value: object) -> str:
     return f"{head}... ({len(text)} characters)"
 
 
+def echo_each(values) -> str:
+    """A list's ``repr`` with each item quoted through :func:`echo`."""
+    return "[" + ", ".join(map(echo, values)) + "]"
+
+
 def check_order(k: int, least: Optional[int] = 0, name: str = "cover order") -> int:
     """k as an int, raising ValueError for a bool, a non-integer or k < least.
 
@@ -87,7 +92,8 @@ class AntichainViolationError(QcoverError):
         self.smaller = frozenset(smaller)
         self.larger = frozenset(larger)
         super().__init__(
-            f"facet {sorted(self.smaller)} is contained in facet {sorted(self.larger)}"
+            f"facet {echo_each(sorted(self.smaller))} is contained in facet "
+            f"{echo_each(sorted(self.larger))}"
         )
 
 

@@ -214,7 +214,7 @@ class RelationTree(NamedTuple):
 
     def degree(self, fid: int) -> int:
         if fid not in self.branch:
-            raise UnknownNodeError(f"facet id {fid} is not a tree node")
+            raise UnknownNodeError(f"facet id {echo(fid)} is not a tree node")
         return sum(1 for e in self.edges if fid in e)
 
 
@@ -251,7 +251,8 @@ def _tree_from_steps(steps: list, branch_rule: BranchRule) -> RelationTree:
         chosen = branch_rule(fid, adm)
         if chosen not in adm:
             raise ValueError(
-                f"branch rule chose {chosen}, admissible branches are {list(adm)}"
+                f"branch rule chose {echo(chosen)}, admissible branches are "
+                f"{list(adm)}"
             )
         branch[fid] = chosen
         edges.append((min(fid, chosen), max(fid, chosen)))
@@ -261,7 +262,7 @@ def _tree_from_steps(steps: list, branch_rule: BranchRule) -> RelationTree:
 def _root_path(tree: RelationTree, f: int) -> list[int]:
     """f, branch(f), branch(branch(f)), ... up to the root, which ends it."""
     if f not in tree.branch:
-        raise UnknownNodeError(f"facet id {f} is not a tree node")
+        raise UnknownNodeError(f"facet id {echo(f)} is not a tree node")
     path = [f]
     while tree.branch[path[-1]] != path[-1]:
         if len(path) == len(tree.branch):
@@ -283,7 +284,7 @@ def is_branch_ancestor(tree: RelationTree, g: int, f: int) -> bool:
     chain f, branch(f), branch(branch(f)), ... passes through g.
     """
     if g not in tree.branch:
-        raise UnknownNodeError(f"facet id {g} is not a tree node")
+        raise UnknownNodeError(f"facet id {echo(g)} is not a tree node")
     return g in _root_path(tree, f)
 
 

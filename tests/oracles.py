@@ -3,8 +3,9 @@
 Everything here works on plain facet lists (lists of frozensets) and plain
 Python loops, deliberately sharing no code with the package: where the
 engine prunes, canonicalizes or vectorizes, these enumerate.  The one
-exception is the error classes and ``echo``, which the constructor oracle
-raises and quotes with so that its messages can be compared.
+exception is the error classes, ``echo`` and ``echo_each``, which the
+constructor oracle raises and quotes with so that its messages can be
+compared.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from qcover.errors import (
     TooManyVerticesError,
     UncoveredVertexError,
     echo,
+    echo_each,
 )
 
 
@@ -65,7 +67,9 @@ def oracle_new_complex(facets) -> dict:
                     "positive integers"
                 )
         if fs in seen:
-            raise DuplicateFacetError(f"facet {sorted(fs)} appears more than once")
+            raise DuplicateFacetError(
+                f"facet {echo_each(sorted(fs))} appears more than once"
+            )
         seen.add(fs)
         cleaned.append(fs)
     for i, f in enumerate(cleaned):

@@ -133,6 +133,15 @@ BAD_INPUTS = {
         b"1 -" + b"7" * 4000 + b"\n",
         "facet #1 contains -7777777777777777777... (4001 characters); vertex labels",
     ),
+    "duplicate-long.txt": (
+        b"1 " + b"7" * 4000 + b"\n" + b"7" * 4000 + b" 1\n",
+        "facet [1, 77777777777777777777... (4000 characters)] appears more than once",
+    ),
+    "nested-long.txt": (
+        b"1 " + b"7" * 4000 + b"\n1 2 " + b"7" * 4000 + b"\n",
+        "facet [1, 77777777777777777777... (4000 characters)] is contained in facet "
+        "[1, 2, 77777777777777777777... (4000 characters)]",
+    ),
     "long-string.json": (
         b'{"facets": [[1, "' + b"x" * 5000 + b'"]]}',
         "\"facets\"[0] contains 'xxxxxxxxxxxxxxxxxxxx'... (5000 characters); labels "
@@ -358,6 +367,13 @@ def test_budget_env_override(capsys, delta3_file, monkeypatch, tmp_path):
         assert captured.err == (
             f"error: QCOVER_BUDGET must be a nonnegative integer, got {raw!r}\n"
         )
+    # a value past the int-to-str digit limit is quoted in one short line
+    monkeypatch.setenv("QCOVER_BUDGET", "9" * 5000)
+    expected = (
+        "QCOVER_BUDGET must be a nonnegative integer, got "
+        "'99999999999999999999'... (5000 characters)"
+    )
+    assert_one_error_line(capsys, ["check", delta3_file], expected)
     # the quasi-tree decision comes first: a bad budget on a non-quasi-tree
     # still exits 11 with its report
     tri = tmp_path / "tri.json"

@@ -30,6 +30,7 @@ from qcover import (
     smd,
     validate_leaf_order,
 )
+from qcover.errors import AntichainViolationError, DuplicateFacetError
 from qcover.families import GeneratorSeed, delta_n, double_fan, random_quasi_tree
 from qcover.quasiforest import _tree_from_steps, peel_leaves
 
@@ -435,6 +436,56 @@ def test_dangling_branch_map_names_the_missing_node():
         minimal_subtree(tree, {1, 2})
     assert is_branch_ancestor(tree, 2, 2)
     assert minimal_subtree(tree, {2}).nodes == (2,)
+
+
+HUGE = 10**5000  # past the int-to-str digit limit: repr raises ValueError
+
+
+def fan_tree(rule=min_branch_rule):
+    return relation_tree(double_fan(), [1, 2, 3, 4, 5], rule)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: new_complex([[1, HUGE], [HUGE, 1]]),
+            DuplicateFacetError,
+            "facet [1, <16610-bit integer>] appears more than once",
+        ),
+        (
+            lambda: new_complex([[1, HUGE], [1, 2, HUGE]]),
+            AntichainViolationError,
+            "facet [1, <16610-bit integer>] is contained in facet "
+            "[1, 2, <16610-bit integer>]",
+        ),
+        (
+            lambda: fan_tree().degree(HUGE),
+            UnknownNodeError,
+            "facet id <16610-bit integer> is not a tree node",
+        ),
+        (
+            lambda: is_branch_ancestor(fan_tree(), HUGE, 1),
+            UnknownNodeError,
+            "facet id <16610-bit integer> is not a tree node",
+        ),
+        (
+            lambda: minimal_subtree(fan_tree(), [HUGE]),
+            UnknownNodeError,
+            "facet id <16610-bit integer> is not a tree node",
+        ),
+        (
+            lambda: fan_tree(lambda leaf, branches: HUGE),
+            ValueError,
+            "branch rule chose <16610-bit integer>, admissible branches are [1, 4]",
+        ),
+    ],
+    ids=["duplicate", "antichain", "degree", "ancestor", "subtree", "branch-rule"],
+)
+def test_messages_quote_ids_past_the_digit_limit(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 # --- free vertices --------------------------------------------------------------------
