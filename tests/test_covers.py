@@ -258,7 +258,23 @@ def test_enumeration_matches_oracle(quasi_tree_corpus, small_complex_corpus):
             assert got == oracle_indecomposable_covers(cx, k)
 
 
-@pytest.mark.parametrize("cx", [D3, FAN], ids=["delta3", "fan"])
+# besides the sweep's inputs, complexes with twins (vertices in exactly the
+# same facets): private pairs and triples, and the twins 1 and 4 of
+# twin_triangle, which straddle vertices 2 and 3; draw15's rows are
+# [1,2,3,4], [1,2,4,5], [1,4,6], [2,5,7], where 1 and 4 straddle 2 and 3 too
+SMD_VIEW_CASES = {
+    "delta3": D3,
+    "fan": FAN,
+    "shared_vertex": new_complex([{1, 2, 3}, {3, 4, 5}]),
+    "private_triple": new_complex([{1, 2, 3}, {3, 4, 5, 6}]),
+    "single_facet": new_complex([{1, 2, 3, 4}]),
+    "twin_triangle": new_complex([{1, 2, 4}, {2, 3}, {1, 3, 4}]),
+    "private_triangle": new_complex([{1, 2, 4, 5}, {2, 3, 6}, {1, 3, 7}]),
+    "draw15": random_quasi_tree(GeneratorSeed(15, 4, 4)),
+}
+
+
+@pytest.mark.parametrize("cx", list(SMD_VIEW_CASES.values()), ids=list(SMD_VIEW_CASES))
 def test_enumeration_matches_oracle_on_every_smd_view(cx):
     # the sweep's inputs: the slack counts must count only the view's facets
     import itertools
@@ -285,7 +301,7 @@ def test_first_generator_heads_the_list(quasi_tree_corpus, small_complex_corpus)
     assert checked > 1000
 
 
-@pytest.mark.parametrize("cx", [D3, FAN], ids=["delta3", "fan"])
+@pytest.mark.parametrize("cx", list(SMD_VIEW_CASES.values()), ids=list(SMD_VIEW_CASES))
 def test_first_generator_heads_the_list_on_every_smd_view(cx):
     import itertools
 
