@@ -183,7 +183,8 @@ class SimplicialComplex:
         if reduce(or_, masks) != (1 << n) - 1:
             missing = [v for v in range(1, n + 1) if not bits[v]]
             raise UncoveredVertexError(
-                f"labels {missing} belong to no facet (labels must be dense 1..n)"
+                f"labels {echo_each(missing)} belong to no facet "
+                "(labels must be dense 1..n)"
             )
 
         self.parent = None

@@ -39,20 +39,28 @@ against an unoptimized oracle:
   at k peels off a nonzero 0-cover),
 * for k >= 1 it must be a minimal k-cover apart from unit vectors
   (otherwise subtract a unit 0-cover), i.e. every weighted vertex lies in
-  some facet whose sum is exactly k, and
+  some facet whose sum is exactly k,
 * facet sums only grow along the walk, so once every facet through a
   weighted vertex sums above k that vertex can never become tight.  The
   walk keeps slack[u], the number of facets through u still summing to k
   or less, and changes it only when a facet crosses from k to k + 1 (and
   back on backtrack); it stops raising the current vertex as soon as that
-  leaves a weighted vertex with no slack.
+  leaves a weighted vertex with no slack, and
+* twins, vertices in exactly the same facets, count only by their total:
+  facet sums, orders and splits depend on the class totals alone (a split
+  of the totals spreads back under a), so the indecomposable k-covers are
+  the lifts of those of the twin quotient, one vertex per class.  Each
+  class is labelled by its last position, so the quotient's lexicographic
+  order is that of the lifts putting each total on that position, and each
+  such lift is the least of its cover's: the first hit stays the first.
 """
 
 from __future__ import annotations
 
+from itertools import chain, combinations_with_replacement, product
 from typing import NamedTuple, Optional, Sequence
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, new_complex
 from .cycles import Cycle, is_cycle, is_special_cycle
 from .errors import (
     LengthMismatchError,
@@ -253,6 +261,7 @@ def indecomposable_covers(cx: SimplicialComplex, k: int) -> list[CoverVector]:
     changes only when a facet's sum crosses k + 1.  Every leaf is thus a
     minimal k-cover, so no unit can be peeled from it, and each is decided
     exactly by :func:`_lex_first_split` with its order floor set to 1.
+    Twins walk as one vertex of the twin quotient, and the hits are lifted.
     """
     return _indecomposables(cx, check_order(k), False)
 
@@ -264,11 +273,37 @@ def _first_indecomposable_cover(cx: SimplicialComplex, k: int) -> Optional[Cover
 
 
 def _indecomposables(cx: SimplicialComplex, k: int, first: bool) -> list[CoverVector]:
-    """The walk behind :func:`indecomposable_covers`; ``first`` stops at one hit."""
+    """The walk behind :func:`indecomposable_covers`; ``first`` stops at one hit.
+
+    For k >= 1 a complex with twins walks its twin quotient and lifts the hits.
+    """
     n = len(cx.active_vertices)
     if k == 0:
         units = [tuple(int(i == t) for i in range(n)) for t in reversed(range(n))]
         return [CoverVector(u, 0) for u in units[: 1 if first else n]]
+    twins: dict[tuple[int, ...], list[int]] = {}
+    for p, at in enumerate(cx.facets_at):
+        twins.setdefault(at, []).append(p)
+    if len(twins) < n:
+        classes = sorted(twins.values(), key=lambda members: members[-1])
+        label = [0] * n
+        for rank, members in enumerate(classes, 1):
+            for p in members:
+                label[p] = rank
+        quotient = new_complex([[label[p] for p in f] for f in cx.positions])
+        lifts = []
+        for hit in _indecomposables(quotient, k, first):
+            # a spread of x over a class is a multiset of x of its members
+            spreads = [
+                combinations_with_replacement(members[-1:] if first else members, x)
+                for members, x in zip(classes, hit.a)
+            ]
+            for parts in product(*spreads):
+                a = [0] * n
+                for p in chain.from_iterable(parts):
+                    a[p] += 1
+                lifts.append(CoverVector(tuple(a), k))
+        return sorted(lifts)
     fpos, facets_at = cx.positions, cx.facets_at
     # the facets whose last vertex is t must have reached k once t is set
     closes = [[j for j in facets_at[t] if fpos[j][-1] == t] for t in range(n)]

@@ -29,8 +29,20 @@ def echo(value: object) -> str:
 
 
 def echo_each(values) -> str:
-    """A list's ``repr`` with each item quoted through :func:`echo`."""
-    return "[" + ", ".join(map(echo, values)) + "]"
+    """A list's ``repr`` with each item quoted through :func:`echo`, cut.
+
+    Items are shown while the text stays within 50 characters, the first
+    always; a cut list ends in ``...`` and its length, so a message stays
+    one short line however many items it quotes.
+    """
+    items = list(values)
+    text = ""
+    for item in items:
+        shown = echo(item)
+        if text and len(text) + 2 + len(shown) > 50:
+            return f"[{text}, ... ({len(items)} items)]"
+        text = f"{text}, {shown}" if text else shown
+    return f"[{text}]"
 
 
 def check_order(k: int, least: Optional[int] = 0, name: str = "cover order") -> int:

@@ -87,7 +87,8 @@ def oracle_new_complex(facets) -> dict:
     missing = [v for v in range(1, n + 1) if v not in covered]
     if missing:
         raise UncoveredVertexError(
-            f"labels {missing} belong to no facet (labels must be dense 1..n)"
+            f"labels {echo_each(missing)} belong to no facet "
+            "(labels must be dense 1..n)"
         )
     ordered = tuple(sorted(cleaned, key=lambda f: tuple(sorted(f))))
     return _oracle_select(n, tuple(range(1, len(ordered) + 1)), ordered)

@@ -35,7 +35,8 @@ from qcover import (
     smd,
     validate_leaf_order,
 )
-from qcover.families import delta_n, double_fan
+from qcover.covers import _first_indecomposable_cover
+from qcover.families import GeneratorSeed, delta_n, double_fan, random_quasi_tree
 
 from oracles import oracle_has_leaf_order
 
@@ -120,6 +121,24 @@ def test_criterion_4_theorem_equivalence(quasi_tree_corpus):
             positives += has_cycle
         assert positives > 0  # both verdicts must actually occur
         assert time.monotonic() - t0 < 600.0
+
+
+# GeneratorSeed(s, 10 + s % 8, 3 + s % 3) for every s < 22, and the three
+# later s < 200 whose draws hold a special odd cycle
+LARGER_TREE_SEEDS = (*range(22), 28, 61, 151)
+
+
+def test_criterion_4_theorem_equivalence_at_20_to_30_vertices():
+    with criterion(4, "special odd cycle <=> degree-2 generator, 20-30 vertices"):
+        verdicts = []
+        for s in LARGER_TREE_SEEDS:
+            cx = random_quasi_tree(GeneratorSeed(s, 10 + s % 8, 3 + s % 3))
+            if not 20 <= len(cx.active_vertices) <= 30:
+                continue
+            has_deg2 = _first_indecomposable_cover(cx, 2) is not None
+            assert has_deg2 == (find_special_odd_cycle(cx) is not None), s
+            verdicts.append(has_deg2)
+        assert (len(verdicts), sum(verdicts)) == (17, 4)
 
 
 def test_criterion_5_cycle_incidence_lemma(quasi_tree_corpus):

@@ -84,6 +84,9 @@ def test_check_malformed_input(capsys, tmp_path):
         capsys.readouterr()
 
 
+# the facet 1..1000 as a text line, and the head of its quoted list
+WIDE_FACET = " ".join(map(str, range(1, 1001))).encode()
+WIDE_ECHO = "[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15"
 # file name -> (bytes, part of the one error line); every case must exit 2
 BAD_INPUTS = {
     "deep.json": (
@@ -141,6 +144,21 @@ BAD_INPUTS = {
         b"1 " + b"7" * 4000 + b"\n1 2 " + b"7" * 4000 + b"\n",
         "facet [1, 77777777777777777777... (4000 characters)] is contained in facet "
         "[1, 2, 77777777777777777777... (4000 characters)]",
+    ),
+    # lists of many short labels are cut too, after 50 characters
+    "uncovered-many.txt": (
+        b"1 64\n",
+        "labels [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, ... (62 items)] "
+        "belong to no facet",
+    ),
+    "duplicate-wide.txt": (
+        (WIDE_FACET + b"\n") * 2,
+        f"facet {WIDE_ECHO}, ... (1000 items)] appears more than once",
+    ),
+    "nested-wide.txt": (
+        WIDE_FACET.rsplit(b" ", 1)[0] + b"\n" + WIDE_FACET + b"\n",
+        f"facet {WIDE_ECHO}, ... (999 items)] is contained in facet "
+        f"{WIDE_ECHO}, ... (1000 items)]",
     ),
     "long-string.json": (
         b'{"facets": [[1, "' + b"x" * 5000 + b'"]]}',
