@@ -170,7 +170,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_dot(args: argparse.Namespace) -> int:
     cx = load_complex(args.path)
     rule = min_branch_rule if args.branch_rule == "min" else max_branch_rule
-    if args.order:
+    if args.order is not None:
         try:
             order = [parse_int(tok) for tok in args.order.split(",")]
         except ValueError:

@@ -98,6 +98,13 @@ def _raise_first_nested(facets: list[frozenset[int]]) -> None:
                 raise AntichainViolationError(g, f)
 
 
+def _too_many_labels(n: int) -> TooManyVerticesError:
+    """The error for a complex whose largest label n is past the cap."""
+    return TooManyVerticesError(
+        f"{echo(n)} vertex labels; the engine supports at most {MAX_VERTICES}"
+    )
+
+
 class SimplicialComplex:
     """Facet-id selection from a validated root facet antichain.
 
@@ -157,9 +164,7 @@ class SimplicialComplex:
         n = max(map(_LAST, rows))
         if n > MAX_VERTICES:
             _raise_first_nested(cleaned)
-            raise TooManyVerticesError(
-                f"{echo(n)} vertex labels; the engine supports at most {MAX_VERTICES}"
-            )
+            raise _too_many_labels(n)
         bits = [0] * (n + 1)  # bits[v]: the facets through label v, as a bit set
         at: list[list[int]] = [[] for _ in range(n + 1)]
         masks: list[int] = []

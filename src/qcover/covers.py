@@ -23,14 +23,14 @@ box 0 <= b <= a over the support of a; enumeration walks the box of
 candidate covers.  Neither materialises its box.
 
 Callers that need one generator per degree, not the list (``dmax``
-certificates, the brute-force verdict and the smd sweep), take the same
-walk's stop-after-first path: it returns at the first leaf that passes the
-split test, which is ``indecomposable_covers(cx, k)[0]``, so only degrees
-without a generator are searched exhaustively.  The split test runs at
-every leaf of the walk, so its per-node work is kept flat: one pass over
-the facets through the vertex updates the running sums and takes both
-minima, the bounds are clamped by comparisons, and b is written only for
-values that recurse.
+certificates, the brute-force verdict and the smd sweep), share one degree
+loop over one twin quotient.  Each degree's walk stops at its first leaf
+that passes the split test, ``indecomposable_covers(cx, k)[0]``, so only
+degrees without a generator are searched exhaustively.  The split test
+runs at every leaf of the walk, so its per-node work is kept flat: one
+pass over the facets through the vertex updates the running sums and
+takes both minima, the bounds are clamped by comparisons, and b is
+written only for values that recurse.
 
 Enumeration facts used by the search, all re-checked by the test suite
 against an unoptimized oracle:
@@ -49,18 +49,21 @@ against an unoptimized oracle:
 * twins, vertices in exactly the same facets, count only by their total:
   facet sums, orders and splits depend on the class totals alone (a split
   of the totals spreads back under a), so the indecomposable k-covers are
-  the lifts of those of the twin quotient, one vertex per class.  Each
-  class is labelled by its last position, so the quotient's lexicographic
-  order is that of the lifts putting each total on that position, and each
-  such lift is the least of its cover's: the first hit stays the first.
+  the lifts of those of the twin quotient, one vertex per class.  A facet
+  holds all of a class or none, so the quotient keeps the facets, their
+  indices and the antichain, and a twin-free complex is the quotient of
+  singletons.  Classes are ranked by their last position, so the
+  quotient's lexicographic order is that of the lifts putting each total
+  on that position, and each such lift is the least of its cover's: the
+  first hit stays the first.
 """
 
 from __future__ import annotations
 
 from itertools import chain, combinations_with_replacement, product
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .complexes import SimplicialComplex, new_complex
+from .complexes import SimplicialComplex
 from .cycles import Cycle, is_cycle, is_special_cycle
 from .errors import (
     LengthMismatchError,
@@ -131,7 +134,7 @@ def is_k_cover(cx: SimplicialComplex, a: Sequence[int], k: int) -> bool:
 
 
 def _lex_first_split(
-    a: tuple[int, ...], k: int, cx: SimplicialComplex, sums: list[int], floor: int
+    a: tuple[int, ...], k: int, facets_at: Sequence, sums: list[int], floor: int
 ) -> Optional[tuple[int, ...]]:
     """Lexicographically first b with 0 < b < a splitting a at order k.
 
@@ -141,7 +144,7 @@ def _lex_first_split(
     of b stay 0, which leaves the lexicographic order intact) and drops a
     prefix as soon as the order b can still reach plus the order a - b can
     still keep falls below k.  ``sums`` holds a's facet sums in the order
-    of ``cx.facets``, and ``cx.facets_at`` gives the facets through a vertex.
+    of the facets, and ``facets_at`` gives the facets through a vertex.
 
     Running minima: per facet j the walk keeps reach[j], b's weight on j
     plus a's weight on j's open slots, and keep[j], the weight a - b keeps
@@ -164,7 +167,6 @@ def _lex_first_split(
     :func:`indecomposable_covers` passes 1 without a scan.
     """
     sup = [t for t, x in enumerate(a) if x > 0]
-    facets_at = cx.facets_at
     reach = list(sums)
     keep = list(sums)
     b = [0] * len(a)
@@ -235,7 +237,7 @@ def decompose_cover(
     peelable = any(
         x and all(sums[j] > k for j in facets_at[t]) for t, x in enumerate(vec)
     )
-    b = _lex_first_split(vec, k, cx, sums, 0 if peelable else 1)
+    b = _lex_first_split(vec, k, facets_at, sums, 0 if peelable else 1)
     if b is None:
         return None
     c = tuple(x - y for x, y in zip(vec, b))
@@ -263,61 +265,58 @@ def indecomposable_covers(cx: SimplicialComplex, k: int) -> list[CoverVector]:
     exactly by :func:`_lex_first_split` with its order floor set to 1.
     Twins walk as one vertex of the twin quotient, and the hits are lifted.
     """
-    return _indecomposables(cx, check_order(k), False)
+    return _indecomposables(_twin_quotient(cx), check_order(k), False)
 
 
 def _first_indecomposable_cover(cx: SimplicialComplex, k: int) -> Optional[CoverVector]:
     """``indecomposable_covers(cx, k)[0]``, or None, without listing the rest."""
-    found = _indecomposables(cx, check_order(k), True)
-    return found[0] if found else None
+    k = check_order(k)
+    return next(_first_hits(cx, k, k))[1]
 
 
-def _indecomposables(cx: SimplicialComplex, k: int, first: bool) -> list[CoverVector]:
-    """The walk behind :func:`indecomposable_covers`; ``first`` stops at one hit.
+def _first_hits(cx: SimplicialComplex, k_lo: int, k_hi: int) -> Iterator[tuple]:
+    """Each degree's first hit, (k, cover or None) for k_lo..k_hi, on one quotient."""
+    q = _twin_quotient(cx)
+    for k in range(k_lo, k_hi + 1):
+        found = _indecomposables(q, k, True)
+        yield k, found[0] if found else None
 
-    For k >= 1 a complex with twins walks its twin quotient and lifts the hits.
-    """
-    n = len(cx.active_vertices)
-    if k == 0:
-        units = [tuple(int(i == t) for i in range(n)) for t in reversed(range(n))]
-        return [CoverVector(u, 0) for u in units[: 1 if first else n]]
+
+def _twin_quotient(cx: SimplicialComplex) -> tuple[list, list, list]:
+    """(classes, class ranks per facet, facets per class): see the module notes."""
     twins: dict[tuple[int, ...], list[int]] = {}
     for p, at in enumerate(cx.facets_at):
         twins.setdefault(at, []).append(p)
-    if len(twins) < n:
-        classes = sorted(twins.values(), key=lambda members: members[-1])
-        label = [0] * n
-        for rank, members in enumerate(classes, 1):
-            for p in members:
-                label[p] = rank
-        quotient = new_complex([[label[p] for p in f] for f in cx.positions])
-        lifts = []
-        for hit in _indecomposables(quotient, k, first):
-            # a spread of x over a class is a multiset of x of its members
-            spreads = [
-                combinations_with_replacement(members[-1:] if first else members, x)
-                for members, x in zip(classes, hit.a)
-            ]
-            for parts in product(*spreads):
-                a = [0] * n
-                for p in chain.from_iterable(parts):
-                    a[p] += 1
-                lifts.append(CoverVector(tuple(a), k))
-        return sorted(lifts)
-    fpos, facets_at = cx.positions, cx.facets_at
-    # the facets whose last vertex is t must have reached k once t is set
-    closes = [[j for j in facets_at[t] if fpos[j][-1] == t] for t in range(n)]
+    classes = sorted(twins.values(), key=lambda members: members[-1])
+    rank = {p: r for r, members in enumerate(classes) for p in members}
+    positions = [sorted({rank[p] for p in f}) for f in cx.positions]
+    return classes, positions, [cx.facets_at[members[0]] for members in classes]
+
+
+def _indecomposables(q: tuple, k: int, first: bool) -> list[CoverVector]:
+    """The walk behind :func:`indecomposable_covers`; ``first`` stops at one hit.
+
+    For k >= 1 it walks the classes of the twin quotient ``q``, then lifts.
+    """
+    classes, fpos, facets_at = q
+    n = sum(map(len, classes))
+    if k == 0:
+        units = [tuple(int(i == t) for i in range(n)) for t in reversed(range(n))]
+        return [CoverVector(u, 0) for u in units[: 1 if first else n]]
+    m = len(facets_at)
+    # the facets whose last class is t must have reached k once t is set
+    closes = [[j for j in facets_at[t] if fpos[j][-1] == t] for t in range(m)]
     sums = [0] * len(fpos)
     slack = [len(at) for at in facets_at]
-    a = [0] * n
-    out: list[CoverVector] = []
+    a = [0] * m
+    hits: list[tuple[int, ...]] = []
 
     def rec(t: int) -> bool:
-        """Walk the vertices from t on; True once ``first`` has its hit."""
-        if t == n:
+        """Walk the classes from t on; True once ``first`` has its hit."""
+        if t == m:
             cand = tuple(a)
-            if _lex_first_split(cand, k, cx, sums, 1) is None:
-                out.append(CoverVector(cand, k))
+            if _lex_first_split(cand, k, facets_at, sums, 1) is None:
+                hits.append(cand)
                 return first
             return False
         at = facets_at[t]
@@ -356,7 +355,19 @@ def _indecomposables(cx: SimplicialComplex, k: int, first: bool) -> list[CoverVe
         rec(0)
     finally:
         del rec  # the closure refers to itself; free the cycle now
-    return out
+    lifts = []
+    for hit in hits:
+        # a spread of x over a class is a multiset of x of its members
+        spreads = [
+            combinations_with_replacement(members[-1:] if first else members, x)
+            for members, x in zip(classes, hit)
+        ]
+        for parts in product(*spreads):
+            vec = [0] * n
+            for p in chain.from_iterable(parts):
+                vec[p] += 1
+            lifts.append(CoverVector(tuple(vec), k))
+    return sorted(lifts)
 
 
 def max_generator_degree(
@@ -370,14 +381,8 @@ def max_generator_degree(
     report d as a bound-limited value.
     """
     k_max = check_order(k_max, 1, "k_max")
-    certificates: dict[int, CoverVector] = {}
-    d = 0
-    for k in range(1, k_max + 1):
-        found = _first_indecomposable_cover(cx, k)
-        if found is not None:
-            certificates[k] = found
-            d = k
-    return d, certificates
+    certificates = {k: hit for k, hit in _first_hits(cx, 1, k_max) if hit is not None}
+    return max(certificates, default=0), certificates
 
 
 # --- leaf extension and the cycle witness -------------------------------------

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .complexes import MAX_VERTICES, SimplicialComplex, new_complex
+from .complexes import MAX_VERTICES, SimplicialComplex, _too_many_labels, new_complex
 from .errors import NTooSmallError, TooManyVerticesError, check_order, check_seed
 
 
@@ -19,6 +19,8 @@ def delta_n(n: int) -> SimplicialComplex:
     """
     if n < 3:
         raise NTooSmallError(f"the family needs n >= 3, got {n}")
+    if 2 * n > MAX_VERTICES:  # refused before its n facets of n labels are built
+        raise _too_many_labels(2 * n)
     center = set(range(1, n + 1))
     facets = [center]
     for i in range(1, n + 1):
@@ -86,22 +88,24 @@ def random_quasi_tree(g: GeneratorSeed) -> SimplicialComplex:
     def draw_size() -> int:
         return rng.integers(lo, g.max_facet_size + 1)
 
-    first = draw_size()
-    facets: list[set[int]] = [set(range(1, first + 1))]
-    next_label = first + 1
-    while next_label - 1 <= MAX_VERTICES and len(facets) < g.num_facets:
+    facets: list[set[int]] = []
+    inter: set[int] = set()
+    fresh = draw_size()
+    next_label = fresh + 1
+    # a drawn facet is built only once its labels are known to fit
+    while next_label - 1 <= MAX_VERTICES:
+        facets.append(inter | set(range(next_label - fresh, next_label)))
+        if len(facets) == g.num_facets:
+            return new_complex(facets)
         host = facets[rng.integers(0, len(facets))]
         size = draw_size()
         t_max = min(len(host) - 1, size - 1)
         t = rng.integers(1, t_max + 1)
         host_sorted = sorted(host)
         inter = {host_sorted[i] for i in rng.choice(len(host_sorted), t)}
-        fresh = set(range(next_label, next_label + (size - t)))
-        next_label += size - t
-        facets.append(inter | fresh)
-    if next_label - 1 > MAX_VERTICES:
-        raise TooManyVerticesError(
-            f"the draw reached {next_label - 1} vertex labels at facet {len(facets)} "
-            f"of {g.num_facets}; the engine supports at most {MAX_VERTICES}"
-        )
-    return new_complex(facets)
+        fresh = size - t
+        next_label += fresh
+    raise TooManyVerticesError(
+        f"the draw reached {next_label - 1} vertex labels at facet {len(facets) + 1} "
+        f"of {g.num_facets}; the engine supports at most {MAX_VERTICES}"
+    )

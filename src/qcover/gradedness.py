@@ -86,19 +86,13 @@ def brute_force_verdict(cx: SimplicialComplex, k_max: int) -> Verdict:
     standard gradedness exactly; finding none only certifies it up to the
     bound, which the verdict records in ``bound_used``.
     """
-    from .covers import _first_indecomposable_cover
+    from .covers import _first_hits
 
     k_max = check_order(k_max, 2, "k_max")
-    for k in range(2, k_max + 1):
-        found = _first_indecomposable_cover(cx, k)
-        if found is not None:
-            return Verdict(
-                standard_graded=False,
-                cover_witness=found,
-                method="brute_force",
-                bound_used=k_max,
-            )
-    return Verdict(standard_graded=True, method="brute_force", bound_used=k_max)
+    found = next((hit for _, hit in _first_hits(cx, 2, k_max) if hit is not None), None)
+    return Verdict(
+        found is None, cover_witness=found, method="brute_force", bound_used=k_max
+    )
 
 
 class CrossValidation(NamedTuple):

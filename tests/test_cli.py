@@ -244,6 +244,13 @@ def test_dot_order_takes_only_ascii_integers(capsys, fan_file, token):
     assert code == 0 and out.startswith("digraph relation_tree {")
 
 
+@pytest.mark.parametrize("order", ["", " "])
+def test_dot_blank_order_exits_2(capsys, fan_file, order):
+    # an empty --order is a malformed order, not a missing one
+    expected = f"--order must be comma-separated facet ids, got {order!r}"
+    assert_one_error_line(capsys, ["dot", fan_file, "--order", order], expected)
+
+
 @pytest.mark.parametrize("command", ["gen", "verify"])
 def test_negative_seed_exits_2(capsys, delta3_file, command):
     argv = {"gen": ["gen", "random", "--facets", "3"], "verify": ["verify", delta3_file]}

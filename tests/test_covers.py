@@ -401,6 +401,26 @@ def test_max_generator_degree_is_pinned(cx, k_max, d, certs):
     assert max_generator_degree(cx, k_max) == (d, want)
 
 
+def test_degree_walks_build_no_complex(monkeypatch):
+    # twins are walked on a quotient derived from the complex's incidence,
+    # not on a second complex built for it
+    from qcover import SimplicialComplex, brute_force_verdict
+
+    cx = random_quasi_tree(GeneratorSeed(3, 10, 3))
+    assert len(set(cx.facets_at)) < len(cx.active_vertices)  # it has twins
+    built = []
+    init, select = SimplicialComplex.__init__, SimplicialComplex._select
+    monkeypatch.setattr(
+        SimplicialComplex, "__init__", lambda *a: built.append(a) or init(*a)
+    )
+    monkeypatch.setattr(
+        SimplicialComplex, "_select", lambda *a: built.append(a) or select(*a)
+    )
+    assert max_generator_degree(cx, 4)[0] >= 1
+    brute_force_verdict(cx, 4)
+    assert built == []
+
+
 def test_enumeration_counts_are_pinned():
     assert [len(indecomposable_covers(delta_n(4), k)) for k in (1, 2, 3, 4)] == [
         10,

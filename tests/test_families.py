@@ -237,6 +237,27 @@ def test_random_quasi_tree_stops_once_its_labels_pass_64():
     assert random_quasi_tree(GeneratorSeed(1, 1, 100)).vertex_count == 48
 
 
+def test_oversized_families_are_refused_before_they_are_built():
+    # delta_n(n) would build n facets of n labels, and the draw one facet of
+    # up to max_facet_size labels, before the 64-label cap refused them
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooManyVerticesError) as err:
+            delta_n(1000)
+        assert str(err.value) == "2000 vertex labels; the engine supports at most 64"
+        with pytest.raises(TooManyVerticesError, match="at facet 1 of 2;"):
+            random_quasi_tree(GeneratorSeed(0, 2, 10**6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    with pytest.raises(TooManyVerticesError, match="^66 vertex labels"):
+        delta_n(33)
+    assert delta_n(32).vertex_count == 64
+
+
 @pytest.mark.parametrize("seed", [0, 1, 99, 2**40])
 def test_random_branch_rule_matches_numpy(np, seed):
     rule, ref = random_branch_rule(seed), numpy_generator(np, seed)
