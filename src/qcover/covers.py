@@ -45,7 +45,7 @@ against an unoptimized oracle:
   walk keeps slack[u], the number of facets through u still summing to k
   or less, and changes it only when a facet crosses from k to k + 1 (and
   back on backtrack); it stops raising the current vertex as soon as that
-  leaves a weighted vertex with no slack, and
+  leaves a weighted vertex with no slack,
 * twins, vertices in exactly the same facets, count only by their total:
   facet sums, orders and splits depend on the class totals alone (a split
   of the totals spreads back under a), so the indecomposable k-covers are
@@ -55,7 +55,16 @@ against an unoptimized oracle:
   singletons.  Classes are ranked by their last position, so the
   quotient's lexicographic order is that of the lifts putting each total
   on that position, and each such lift is the least of its cover's: the
-  first hit stays the first.
+  first hit stays the first, and
+* for k >= 2 nothing below a prefix that is >= 1 on an exact transversal
+  T, a set of twin classes with exactly one class in every facet, is a
+  hit: any k-cover a' above it splits as 1_T, of order 1, plus a' - 1_T,
+  of order >= k - 1 and so nonzero, and the split of the class totals
+  spreads back under the lift.  The quotient lists its exact transversals
+  once, as class masks grouped by their last class and under a fixed work
+  limit (a cut list only prunes less); when the walk raises a class to 1
+  and a transversal ending there is then all >= 1, it stops raising that
+  class.  The walk carries the mask of its weighted classes for this.
 """
 
 from __future__ import annotations
@@ -264,6 +273,8 @@ def indecomposable_covers(cx: SimplicialComplex, k: int) -> list[CoverVector]:
     minimal k-cover, so no unit can be peeled from it, and each is decided
     exactly by :func:`_lex_first_split` with its order floor set to 1.
     Twins walk as one vertex of the twin quotient, and the hits are lifted.
+    For k >= 2 a prefix that weights a whole exact transversal ends the
+    walk of its last class, whose leaves all split (see the module notes).
     """
     return _indecomposables(_twin_quotient(cx), check_order(k), False)
 
@@ -282,15 +293,54 @@ def _first_hits(cx: SimplicialComplex, k_lo: int, k_hi: int) -> Iterator[tuple]:
         yield k, found[0] if found else None
 
 
-def _twin_quotient(cx: SimplicialComplex) -> tuple[list, list, list]:
-    """(classes, class ranks per facet, facets per class): see the module notes."""
+def _twin_quotient(cx: SimplicialComplex) -> tuple[list, list, list, list]:
+    """(classes, class ranks per facet, facets per class, exact transversals).
+
+    See the module notes and :func:`_exact_transversals`.
+    """
     twins: dict[tuple[int, ...], list[int]] = {}
     for p, at in enumerate(cx.facets_at):
         twins.setdefault(at, []).append(p)
     classes = sorted(twins.values(), key=lambda members: members[-1])
     rank = {p: r for r, members in enumerate(classes) for p in members}
     positions = [sorted({rank[p] for p in f}) for f in cx.positions]
-    return classes, positions, [cx.facets_at[members[0]] for members in classes]
+    facets_at = [cx.facets_at[members[0]] for members in classes]
+    return classes, positions, facets_at, _exact_transversals(positions, facets_at)
+
+
+# search nodes spent on exact transversals per complex; past it the walk
+# prunes with those found so far, which is only slower
+_TRANSVERSAL_WORK = 50_000
+
+
+def _exact_transversals(fpos: list, facets_at: list) -> list[list[int]]:
+    """Class masks with exactly one class in every facet, grouped by last class.
+
+    An exact-cover search: the lowest facet not yet met branches on its
+    classes that meet no facet met so far, so each transversal is found
+    once.
+    """
+    full = (1 << len(fpos)) - 1
+    meets = [sum(1 << j for j in at) for at in facets_at]
+    ends: list[list[int]] = [[] for _ in facets_at]
+    work = _TRANSVERSAL_WORK
+
+    def rec(met: int, chosen: int) -> None:
+        nonlocal work
+        work -= 1
+        if met == full:
+            ends[chosen.bit_length() - 1].append(chosen)
+            return
+        open_ = full & ~met
+        for c in fpos[(open_ & -open_).bit_length() - 1]:
+            if work > 0 and not meets[c] & met:
+                rec(met | meets[c], chosen | 1 << c)
+
+    try:
+        rec(0, 0)
+    finally:
+        del rec  # the closure refers to itself; free the cycle now
+    return ends
 
 
 def _indecomposables(q: tuple, k: int, first: bool) -> list[CoverVector]:
@@ -298,7 +348,7 @@ def _indecomposables(q: tuple, k: int, first: bool) -> list[CoverVector]:
 
     For k >= 1 it walks the classes of the twin quotient ``q``, then lifts.
     """
-    classes, fpos, facets_at = q
+    classes, fpos, facets_at, ends = q
     n = sum(map(len, classes))
     if k == 0:
         units = [tuple(int(i == t) for i in range(n)) for t in reversed(range(n))]
@@ -310,9 +360,14 @@ def _indecomposables(q: tuple, k: int, first: bool) -> list[CoverVector]:
     slack = [len(at) for at in facets_at]
     a = [0] * m
     hits: list[tuple[int, ...]] = []
+    if k == 1:  # a transversal's indicator is then a hit, not a summand
+        ends = [()] * m
 
-    def rec(t: int) -> bool:
-        """Walk the classes from t on; True once ``first`` has its hit."""
+    def rec(t: int, sup: int) -> bool:
+        """Walk the classes from t on, ``sup`` the mask of those set >= 1.
+
+        True once ``first`` has its hit.
+        """
         if t == m:
             cand = tuple(a)
             if _lex_first_split(cand, k, facets_at, sums, 1) is None:
@@ -321,7 +376,11 @@ def _indecomposables(q: tuple, k: int, first: bool) -> list[CoverVector]:
             return False
         at = facets_at[t]
         closing = closes[t]
+        ending = ends[t]
+        raised = sup | 1 << t
         for val in range(k + 1):
+            if val == 1 and ending and any(not T & ~raised for T in ending):
+                break  # every leaf from here splits off 1_T
             a[t] = val
             if val:
                 stuck = not slack[t]
@@ -338,7 +397,7 @@ def _indecomposables(q: tuple, k: int, first: bool) -> list[CoverVector]:
                 if sums[j] < k:
                     break
             else:
-                if rec(t + 1):
+                if rec(t + 1, raised if val else sup):
                     return True
         x = a[t]
         for j in at:
@@ -352,7 +411,7 @@ def _indecomposables(q: tuple, k: int, first: bool) -> list[CoverVector]:
         return False
 
     try:
-        rec(0)
+        rec(0, 0)
     finally:
         del rec  # the closure refers to itself; free the cycle now
     lifts = []

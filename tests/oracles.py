@@ -170,6 +170,27 @@ def oracle_indecomposable_covers(cx, k) -> list[tuple[int, ...]]:
     return out
 
 
+def oracle_exact_transversals(cx) -> list[list[int]]:
+    """0/1 vectors on the twin classes summing to exactly 1 on every facet.
+
+    Twin classes are the vertices that lie in the same facets, ranked by
+    their largest label.  Each vector is a bitmask over the ranks; the
+    masks are grouped by their last class and sorted within a group.
+    """
+    facets = facet_sets(cx)
+    twins = {}
+    for v in cx.active_vertices:
+        twins.setdefault(frozenset(i for i, f in enumerate(facets) if v in f), []).append(v)
+    classes = sorted(twins.values(), key=max)
+    out = [[] for _ in classes]
+    for x in itertools.product((0, 1), repeat=len(classes)):
+        chosen = [members[0] for members, bit in zip(classes, x) if bit]
+        if all(sum(v in f for v in chosen) == 1 for f in facets):
+            mask = sum(1 << r for r, bit in enumerate(x) if bit)
+            out[mask.bit_length() - 1].append(mask)
+    return [sorted(group) for group in out]
+
+
 # --- leaves and leaf orders --------------------------------------------------------
 
 

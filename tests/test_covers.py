@@ -37,7 +37,7 @@ from qcover import (
     smd,
     witness_cover_from_cycle,
 )
-from qcover.covers import _first_indecomposable_cover
+from qcover.covers import _first_indecomposable_cover, _twin_quotient
 from qcover.cycles import Cycle
 from qcover.families import GeneratorSeed, delta_n, double_fan, random_quasi_tree
 from qcover.quasiforest import max_branch_rule, random_branch_rule
@@ -45,6 +45,7 @@ from qcover.quasiforest import max_branch_rule, random_branch_rule
 from oracles import (
     facet_sets,
     oracle_cover_order,
+    oracle_exact_transversals,
     oracle_indecomposable_covers,
     oracle_is_decomposable,
     oracle_lex_first_split,
@@ -261,7 +262,12 @@ def test_enumeration_matches_oracle(quasi_tree_corpus, small_complex_corpus):
 # besides the sweep's inputs, complexes with twins (vertices in exactly the
 # same facets): private pairs and triples, and the twins 1 and 4 of
 # twin_triangle, which straddle vertices 2 and 3; draw15's rows are
-# [1,2,3,4], [1,2,4,5], [1,4,6], [2,5,7], where 1 and 4 straddle 2 and 3 too
+# [1,2,3,4], [1,2,4,5], [1,4,6], [2,5,7], where 1 and 4 straddle 2 and 3 too.
+# The cones have facets {c, i, i + 1} around a triangle or a pentagon, so the
+# apex c alone is an exact transversal; labelled first or last, it ends at
+# the first class or at the last
+CONE_TRIANGLE = [{2, 3}, {3, 4}, {2, 4}]
+CONE_PENTAGON = [{2, 3}, {3, 4}, {4, 5}, {5, 6}, {2, 6}]
 SMD_VIEW_CASES = {
     "delta3": D3,
     "fan": FAN,
@@ -271,6 +277,10 @@ SMD_VIEW_CASES = {
     "twin_triangle": new_complex([{1, 2, 4}, {2, 3}, {1, 3, 4}]),
     "private_triangle": new_complex([{1, 2, 4, 5}, {2, 3, 6}, {1, 3, 7}]),
     "draw15": random_quasi_tree(GeneratorSeed(15, 4, 4)),
+    "cone_triangle_first": new_complex([{1, *rim} for rim in CONE_TRIANGLE]),
+    "cone_triangle_last": new_complex([{4, *(v - 1 for v in rim)} for rim in CONE_TRIANGLE]),
+    "cone_pentagon_first": new_complex([{1, *rim} for rim in CONE_PENTAGON]),
+    "cone_pentagon_last": new_complex([{6, *(v - 1 for v in rim)} for rim in CONE_PENTAGON]),
 }
 
 
@@ -312,6 +322,47 @@ def test_first_generator_heads_the_list_on_every_smd_view(cx):
                 found = indecomposable_covers(view, k)
                 want = found[0] if found else None
                 assert _first_indecomposable_cover(view, k) == want, (ids, k)
+
+
+def _sorted_transversals(cx):
+    return [sorted(group) for group in _twin_quotient(cx)[3]]
+
+
+def test_exact_transversals_match_oracle(quasi_tree_corpus, small_complex_corpus):
+    found = 0
+    for cx in quasi_tree_corpus + small_complex_corpus:
+        got = _sorted_transversals(cx)
+        assert got == oracle_exact_transversals(cx)
+        found += sum(map(len, got))
+    assert found > 1000
+
+
+@pytest.mark.parametrize("cx", list(SMD_VIEW_CASES.values()), ids=list(SMD_VIEW_CASES))
+def test_exact_transversals_match_oracle_on_every_smd_view(cx):
+    import itertools
+
+    for r in range(1, len(cx.facet_ids) + 1):
+        for ids in itertools.combinations(cx.facet_ids, r):
+            view = smd(cx, ids)
+            assert _sorted_transversals(view) == oracle_exact_transversals(view), ids
+
+
+def test_exact_transversals_cut_the_walk(monkeypatch):
+    # a prefix at >= 1 on an exact transversal T splits every leaf below it
+    # as 1_T plus a (k - 1)-cover, so the walk decides those leaves no more:
+    # without the cut these calls decide 540 and 35 leaves
+    from qcover import covers
+
+    decided = []
+    split = covers._lex_first_split
+    monkeypatch.setattr(
+        covers, "_lex_first_split", lambda *a: decided.append(a) or split(*a)
+    )
+    max_generator_degree(delta_n(4), 5)
+    assert len(decided) == 79
+    decided.clear()
+    assert indecomposable_covers(FAN, 4) == []
+    assert len(decided) == 1
 
 
 def test_entry_bound_on_indecomposables(small_complex_corpus):
