@@ -42,10 +42,9 @@ against an unoptimized oracle:
   some facet whose sum is exactly k,
 * facet sums only grow along the walk, so once every facet through a
   weighted vertex sums above k that vertex can never become tight.  The
-  walk keeps slack[u], the number of facets through u still summing to k
-  or less, and changes it only when a facet crosses from k to k + 1 (and
-  back on backtrack); it stops raising the current vertex as soon as that
-  leaves a weighted vertex with no slack,
+  walk hands down the mask ``over`` of the facets above k and stops raising
+  the current vertex as soon as some weighted vertex has no facet outside
+  it; only a facet crossing to k + 1 can bring that about,
 * twins, vertices in exactly the same facets, count only by their total:
   facet sums, orders and splits depend on the class totals alone (a split
   of the totals spreads back under a), so the indecomposable k-covers are
@@ -62,9 +61,10 @@ against an unoptimized oracle:
   of order >= k - 1 and so nonzero, and the split of the class totals
   spreads back under the lift.  The quotient lists its exact transversals
   once, as class masks grouped by their last class and under a fixed work
-  limit (a cut list only prunes less); when the walk raises a class to 1
-  and a transversal ending there is then all >= 1, it stops raising that
-  class.  The walk carries the mask of its weighted classes for this.
+  limit (a cut list only prunes less), and only when a degree >= 2 will be
+  walked; when the walk raises a class to 1 and a transversal ending there
+  is then all >= 1, it stops raising that class.  The walk carries the mask
+  of its weighted classes for this.
 """
 
 from __future__ import annotations
@@ -267,16 +267,16 @@ def indecomposable_covers(cx: SimplicialComplex, k: int) -> list[CoverVector]:
     all set sums below k, and it stops raising a vertex once that leaves
     some weighted vertex, this one or an earlier one, with every facet
     through it above k.  Sums only grow, so such a vertex can lie in no
-    tight facet.  A count per vertex, slack[u], of the facets through u
-    still at k or less spots this without rescanning any facet list: it
-    changes only when a facet's sum crosses k + 1.  Every leaf is thus a
+    tight facet.  Masks of the facets below and above k, handed down the
+    walk, make each of these tests one mask test.  Every leaf is thus a
     minimal k-cover, so no unit can be peeled from it, and each is decided
     exactly by :func:`_lex_first_split` with its order floor set to 1.
     Twins walk as one vertex of the twin quotient, and the hits are lifted.
     For k >= 2 a prefix that weights a whole exact transversal ends the
     walk of its last class, whose leaves all split (see the module notes).
     """
-    return _indecomposables(_twin_quotient(cx), check_order(k), False)
+    k = check_order(k)
+    return _indecomposables(_twin_quotient(cx, k), k, False)
 
 
 def _first_indecomposable_cover(cx: SimplicialComplex, k: int) -> Optional[CoverVector]:
@@ -287,16 +287,19 @@ def _first_indecomposable_cover(cx: SimplicialComplex, k: int) -> Optional[Cover
 
 def _first_hits(cx: SimplicialComplex, k_lo: int, k_hi: int) -> Iterator[tuple]:
     """Each degree's first hit, (k, cover or None) for k_lo..k_hi, on one quotient."""
-    q = _twin_quotient(cx)
+    q = _twin_quotient(cx, k_hi)
     for k in range(k_lo, k_hi + 1):
         found = _indecomposables(q, k, True)
         yield k, found[0] if found else None
 
 
-def _twin_quotient(cx: SimplicialComplex) -> tuple[list, list, list, list]:
-    """(classes, class ranks per facet, facets per class, exact transversals).
+def _twin_quotient(cx: SimplicialComplex, k_hi: int) -> tuple[list, ...]:
+    """The twin quotient and the walk's tables on it, built once per complex.
 
-    See the module notes and :func:`_exact_transversals`.
+    That is (classes, class ranks per facet, facets per class, their facet
+    masks, masks of the facets each class is last in, exact transversals).
+    Transversals are searched only if a degree ``k_hi`` >= 2 will be walked;
+    see the module notes and :func:`_exact_transversals`.
     """
     twins: dict[tuple[int, ...], list[int]] = {}
     for p, at in enumerate(cx.facets_at):
@@ -305,7 +308,12 @@ def _twin_quotient(cx: SimplicialComplex) -> tuple[list, list, list, list]:
     rank = {p: r for r, members in enumerate(classes) for p in members}
     positions = [sorted({rank[p] for p in f}) for f in cx.positions]
     facets_at = [cx.facets_at[members[0]] for members in classes]
-    return classes, positions, facets_at, _exact_transversals(positions, facets_at)
+    meets = [sum(1 << j for j in at) for at in facets_at]
+    closes = [0] * len(classes)
+    for j, f in enumerate(positions):
+        closes[f[-1]] |= 1 << j
+    ends = _exact_transversals(positions, meets) if k_hi >= 2 else [()] * len(classes)
+    return classes, positions, facets_at, meets, closes, ends
 
 
 # search nodes spent on exact transversals per complex; past it the walk
@@ -313,16 +321,15 @@ def _twin_quotient(cx: SimplicialComplex) -> tuple[list, list, list, list]:
 _TRANSVERSAL_WORK = 50_000
 
 
-def _exact_transversals(fpos: list, facets_at: list) -> list[list[int]]:
+def _exact_transversals(fpos: list, meets: list) -> list[list[int]]:
     """Class masks with exactly one class in every facet, grouped by last class.
 
     An exact-cover search: the lowest facet not yet met branches on its
     classes that meet no facet met so far, so each transversal is found
-    once.
+    once.  ``meets`` holds each class's facet mask.
     """
     full = (1 << len(fpos)) - 1
-    meets = [sum(1 << j for j in at) for at in facets_at]
-    ends: list[list[int]] = [[] for _ in facets_at]
+    ends: list[list[int]] = [[] for _ in meets]
     work = _TRANSVERSAL_WORK
 
     def rec(met: int, chosen: int) -> None:
@@ -348,25 +355,22 @@ def _indecomposables(q: tuple, k: int, first: bool) -> list[CoverVector]:
 
     For k >= 1 it walks the classes of the twin quotient ``q``, then lifts.
     """
-    classes, fpos, facets_at, ends = q
+    classes, fpos, facets_at, meets, closes, ends = q
     n = sum(map(len, classes))
     if k == 0:
         units = [tuple(int(i == t) for i in range(n)) for t in reversed(range(n))]
         return [CoverVector(u, 0) for u in units[: 1 if first else n]]
     m = len(facets_at)
-    # the facets whose last class is t must have reached k once t is set
-    closes = [[j for j in facets_at[t] if fpos[j][-1] == t] for t in range(m)]
     sums = [0] * len(fpos)
-    slack = [len(at) for at in facets_at]
     a = [0] * m
     hits: list[tuple[int, ...]] = []
     if k == 1:  # a transversal's indicator is then a hit, not a summand
         ends = [()] * m
 
-    def rec(t: int, sup: int) -> bool:
-        """Walk the classes from t on, ``sup`` the mask of those set >= 1.
+    def rec(t: int, sup: int, short: int, over: int) -> bool:
+        """Walk the classes from t on; True once ``first`` has its hit.
 
-        True once ``first`` has its hit.
+        The masks are of the classes set >= 1 and the facets below and above k.
         """
         if t == m:
             cand = tuple(a)
@@ -381,37 +385,32 @@ def _indecomposables(q: tuple, k: int, first: bool) -> list[CoverVector]:
         for val in range(k + 1):
             if val == 1 and ending and any(not T & ~raised for T in ending):
                 break  # every leaf from here splits off 1_T
-            a[t] = val
             if val:
-                stuck = not slack[t]
+                a[t] = val
+                stuck = not meets[t] & ~over
                 for j in at:
-                    sums[j] += 1
-                    if sums[j] == k + 1:
+                    s = sums[j] + 1
+                    sums[j] = s
+                    if s == k:
+                        short ^= 1 << j
+                    elif s == k + 1:
+                        over |= 1 << j
                         for u in fpos[j]:
-                            slack[u] -= 1
-                            if not slack[u] and a[u]:
+                            if a[u] and not meets[u] & ~over:
                                 stuck = True
                 if stuck:
                     break
-            for j in closing:
-                if sums[j] < k:
-                    break
-            else:
-                if rec(t + 1, raised if val else sup):
-                    return True
+            # the facets whose last class is t must have reached k
+            if not closing & short and rec(t + 1, raised if val else sup, short, over):
+                return True
         x = a[t]
         for j in at:
-            s = sums[j]
-            if s - x <= k < s:
-                # crossed k + 1 while t was raised
-                for u in fpos[j]:
-                    slack[u] += 1
-            sums[j] = s - x
+            sums[j] -= x
         a[t] = 0
         return False
 
     try:
-        rec(0, 0)
+        rec(0, 0, (1 << len(fpos)) - 1, 0)
     finally:
         del rec  # the closure refers to itself; free the cycle now
     lifts = []

@@ -160,6 +160,7 @@ BAD_INPUTS = {
         f"facet {WIDE_ECHO}, ... (999 items)] is contained in facet "
         f"{WIDE_ECHO}, ... (1000 items)]",
     ),
+    "facet-not-a-list.json": (b'{"facets": [[1, 2], 3]}', '"facets"[1] is not a list'),
     "long-string.json": (
         b'{"facets": [[1, "' + b"x" * 5000 + b'"]]}',
         "\"facets\"[0] contains 'xxxxxxxxxxxxxxxxxxxx'... (5000 characters); labels "

@@ -286,7 +286,7 @@ SMD_VIEW_CASES = {
 
 @pytest.mark.parametrize("cx", list(SMD_VIEW_CASES.values()), ids=list(SMD_VIEW_CASES))
 def test_enumeration_matches_oracle_on_every_smd_view(cx):
-    # the sweep's inputs: the slack counts must count only the view's facets
+    # the sweep's inputs: the facet masks must hold only the view's facets
     import itertools
 
     views = 0
@@ -325,7 +325,7 @@ def test_first_generator_heads_the_list_on_every_smd_view(cx):
 
 
 def _sorted_transversals(cx):
-    return [sorted(group) for group in _twin_quotient(cx)[3]]
+    return [sorted(group) for group in _twin_quotient(cx, 2)[-1]]
 
 
 def test_exact_transversals_match_oracle(quasi_tree_corpus, small_complex_corpus):
@@ -363,6 +363,68 @@ def test_exact_transversals_cut_the_walk(monkeypatch):
     decided.clear()
     assert indecomposable_covers(FAN, 4) == []
     assert len(decided) == 1
+
+
+def _answers(cx):
+    """The lists and first hits for k = 0..3."""
+    return [
+        ([c.a for c in indecomposable_covers(cx, k)], _first_indecomposable_cover(cx, k))
+        for k in (0, 1, 2, 3)
+    ]
+
+
+def _triangle_chain(length):
+    """Facets {2i - 1, 2i, 2i + 1}: each shares one vertex with the next."""
+    return new_complex([{2 * i - 1, 2 * i, 2 * i + 1} for i in range(1, length + 1)])
+
+
+def test_transversal_work_limit_only_prunes_less(
+    monkeypatch, quasi_tree_corpus, small_complex_corpus
+):
+    # past the limit the walk prunes with the transversals found so far.  The
+    # oracle's inputs take at most 18 search nodes, so the 15-vertex chain,
+    # whose 21 transversals take more, is held to its answers at the full limit
+    import itertools
+
+    from qcover import covers
+
+    chain = _triangle_chain(7)
+    whole, want = _sorted_transversals(chain), _answers(chain)
+    picked = [
+        cx
+        for cx in quasi_tree_corpus + small_complex_corpus
+        if len(cx.active_vertices) <= 6
+    ][:40]
+    for name in ("draw15", "cone_pentagon_first"):
+        cx = SMD_VIEW_CASES[name]
+        for r in range(1, len(cx.facet_ids) + 1):
+            picked += [smd(cx, ids) for ids in itertools.combinations(cx.facet_ids, r)]
+    oracle = [[oracle_indecomposable_covers(cx, k) for k in (0, 1, 2, 3)] for cx in picked]
+    for limit in (0, 1, 40):
+        monkeypatch.setattr(covers, "_TRANSVERSAL_WORK", limit)
+        assert _sorted_transversals(chain) != whole, limit
+        assert _answers(chain) == want, limit
+        for cx, lists in zip(picked, oracle):
+            for k, ((got, first), exact) in enumerate(zip(_answers(cx), lists)):
+                assert got == exact, (limit, cx, k)
+                assert (first.a if first else None) == (exact[0] if exact else None)
+
+
+def test_degrees_up_to_one_search_no_transversals(monkeypatch):
+    # a transversal only cuts degrees >= 2, so none is searched below that:
+    # the 63-vertex chain has 2,178,309 exact transversals
+    from qcover import covers
+
+    def refuse(*args):
+        raise AssertionError("exact transversals searched for a degree <= 1")
+
+    monkeypatch.setattr(covers, "_exact_transversals", refuse)
+    chain = _triangle_chain(31)
+    assert len(indecomposable_covers(chain, 0)) == 63
+    assert max_generator_degree(chain, 1)[0] == 1
+    assert _first_indecomposable_cover(chain, 1) is not None
+    d4 = delta_n(4)
+    assert [c.a for c in indecomposable_covers(d4, 1)] == oracle_indecomposable_covers(d4, 1)
 
 
 def test_entry_bound_on_indecomposables(small_complex_corpus):
@@ -648,6 +710,18 @@ def test_witness_input_validation():
         witness_cover_from_cycle(D3, tree, Cycle((1, 2), (1, 2)))
     with pytest.raises(NotSpecialOddCycleError):
         witness_cover_from_cycle(D3, tree, Cycle((1, 2, 3), (1, 4, 3)))
+
+
+def test_witness_refuses_another_complexs_tree():
+    tree = relation_tree(delta_n(4), leaf_order(delta_n(4)))
+    with pytest.raises(ValueError, match="relation tree does not belong"):
+        witness_cover_from_cycle(D3, tree, find_special_odd_cycle(D3))
+
+
+def test_witness_refuses_a_non_cycle():
+    tree = relation_tree(D3, leaf_order(D3))
+    with pytest.raises(NotSpecialOddCycleError, match="witness input is not a cycle"):
+        witness_cover_from_cycle(D3, tree, Cycle((1, 2, 3), (1, 2, 3)))
 
 
 def _golden_witnesses():

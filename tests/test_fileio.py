@@ -9,6 +9,7 @@ from qcover.fileio import (
     complex_digest,
     load_complex,
     parse_facets,
+    parse_facets_json,
     to_json,
     to_text,
 )
@@ -94,6 +95,11 @@ def test_text_errors_name_the_line_an_editor_shows(text, line):
 def test_parse_diagnostics(text):
     with pytest.raises(InputFormatError):
         parse_facets(text)
+
+
+def test_json_facet_that_is_not_a_list():
+    with pytest.raises(InputFormatError, match=r'^"facets"\[1\] is not a list$'):
+        parse_facets_json('{"facets": [[1, 2], 3]}')
 
 
 def test_digest_without_builtin_sha256_falls_back_to_hashlib(
