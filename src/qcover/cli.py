@@ -9,7 +9,8 @@ the answer and prints the JSON report.  Exit codes are the machine contract:
   2   input or budget error
   10  check: not standard graded (witnesses embedded in the report)
   11  input is not a quasi-tree where one is required
-  20  verify: the two routes disagree (bug artifact written)
+  20  verify: the two routes disagree (bug artifact written, or null in the
+      report when it cannot be)
 
 The QCOVER_BUDGET environment variable overrides the cycle-search node
 budget of check; verify's criterion always runs under the default budget.
@@ -139,15 +140,15 @@ def cmd_verify(cx: SimplicialComplex, args: argparse.Namespace) -> tuple[int, di
     if report.agree:
         return EXIT_OK, result
     artifact = Path(f"qcover-disagreement-{complex_digest(cx)[:16]}.json")
-    artifact.write_text(
-        json.dumps(
-            {"facets": [list(row) for row in cx.rows], "report": result}, indent=2
-        )
-        + "\n",
-        encoding="utf-8",
-    )
-    result["artifact"] = str(artifact)
-    print(f"disagreement artifact written to {artifact}", file=sys.stderr)
+    saved = {"facets": [list(row) for row in cx.rows], "report": result}
+    try:
+        artifact.write_text(json.dumps(saved, indent=2) + "\n", encoding="utf-8")
+    except OSError as exc:  # the disagreement is still the answer
+        result["artifact"] = None
+        print(f"error: disagreement artifact not written: {exc}", file=sys.stderr)
+    else:
+        result["artifact"] = str(artifact)
+        print(f"disagreement artifact written to {artifact}", file=sys.stderr)
     return EXIT_DISAGREEMENT, result
 
 

@@ -161,11 +161,6 @@ def _lex_first_split(
     its vertex alone and hands min(reach) and min(keep), the two bounds,
     down to its children.  At a leaf they are the orders of b and a - b.
 
-    Symmetric cut: the partner a - b of a valid b is valid too, so the
-    first valid b is lexicographically no later than a - b.  While b's
-    prefix equals the prefix of a - b, b[t] therefore stays at or below
-    a[t] // 2; the cut never drops the first hit.
-
     Order floor: if b has order 0, a - b is a k-cover, and so is a - e_v
     for any v with b[v] > 0: a unit at v could be peeled off.  Unless some
     weighted vertex has every facet above k, both parts of a split thus
@@ -182,14 +177,13 @@ def _lex_first_split(
     m = len(sup)
     above = max(sums) + 1  # no running minimum starts above this
 
-    def rec(i: int, lo_reach: int, lo_keep: int, tied: bool) -> Optional[tuple]:
+    def rec(i: int, lo_reach: int, lo_keep: int) -> Optional[tuple]:
         if i == m:
-            # the cut keeps b lexicographically <= a - b, so b != a
-            return tuple(b) if any(b) else None
+            hit = tuple(b)  # at floor 0, b = 0 and b = a pass both bounds
+            return hit if any(hit) and hit != a else None
         t = sup[i]
         x = a[t]
         at = facets_at[t]
-        top = x // 2 if tied else x
         # each unit of b[t] raises reach and lowers keep on the facets at t
         low_reach = low_keep = above
         for j in at:
@@ -199,7 +193,7 @@ def _lex_first_split(
                 low_reach = r
             if keep[j] < low_keep:
                 low_keep = keep[j]
-        for val in range(top + 1):
+        for val in range(x + 1):
             if val:
                 for j in at:
                     reach[j] += 1
@@ -212,18 +206,17 @@ def _lex_first_split(
                 ub_c = lo_keep
             if ub_b + ub_c >= k and ub_b >= floor and ub_c >= floor:
                 b[t] = val
-                hit = rec(i + 1, ub_b, ub_c, tied and val + val == x)
+                hit = rec(i + 1, ub_b, ub_c)
                 if hit is not None:
                     return hit
         for j in at:
-            reach[j] += x - top
-            keep[j] += top
+            keep[j] += x
         b[t] = 0
         return None
 
     low = min(sums)
     try:
-        return rec(0, low, low, True)
+        return rec(0, low, low)
     finally:
         del rec  # the closure refers to itself; free the cycle now
 

@@ -11,7 +11,7 @@ import pytest
 from qcover import new_complex
 from qcover.cli import main
 from qcover.families import delta_n, double_fan
-from qcover.fileio import load_complex, to_json, to_text
+from qcover.fileio import complex_digest, load_complex, to_json, to_text
 from qcover.gradedness import CrossValidation, is_standard_graded
 
 
@@ -322,12 +322,11 @@ def test_verify_rejects_non_quasi_tree(capsys, tmp_path):
     assert report(out, "verify")["result"] == {"error": "not a quasi-tree"}
 
 
-def test_verify_disagreement_writes_an_artifact_and_exits_20(
-    capsys, delta3_file, monkeypatch, tmp_path
-):
+@pytest.fixture()
+def disagreeing(delta3_file, monkeypatch, tmp_path):
+    """An empty working directory in which verify's two routes disagree."""
     # the two routes always agree on a working engine, so a stub disagrees
-    cx = load_complex(delta3_file)
-    verdict = is_standard_graded(cx)
+    verdict = is_standard_graded(load_complex(delta3_file))
     monkeypatch.setattr(
         "qcover.cli.cross_validate",
         lambda *args, **kwargs: CrossValidation(False, verdict, verdict),
@@ -335,18 +334,42 @@ def test_verify_disagreement_writes_an_artifact_and_exits_20(
     work = tmp_path / "work"
     work.mkdir()
     monkeypatch.chdir(work)
+    return work
+
+
+def test_verify_disagreement_writes_an_artifact_and_exits_20(
+    capsys, delta3_file, disagreeing
+):
+    cx = load_complex(delta3_file)
     assert main(["verify", delta3_file, "--k-max", "2"]) == 20
     captured = capsys.readouterr()
     doc = report(captured.out, "verify")
     name = f"qcover-disagreement-{doc['input_digest'][:16]}.json"
     assert re.fullmatch(r"qcover-disagreement-[0-9a-f]{16}\.json", name)
-    assert [p.name for p in work.iterdir()] == [name]
+    assert [p.name for p in disagreeing.iterdir()] == [name]
     result = doc["result"]
     assert result["agree"] is False and result["artifact"] == name
     assert captured.err == f"disagreement artifact written to {name}\n"
-    saved = json.loads((work / name).read_text())
+    saved = json.loads((disagreeing / name).read_text())
     del result["artifact"]
     assert saved == {"facets": [list(row) for row in cx.rows], "report": result}
+
+
+def test_verify_disagreement_exits_20_when_its_artifact_cannot_be_written(
+    capsys, delta3_file, disagreeing
+):
+    # a directory holding the artifact's name fails the write, also for root
+    digest = complex_digest(load_complex(delta3_file))
+    name = f"qcover-disagreement-{digest[:16]}.json"
+    (disagreeing / name).mkdir()
+    assert main(["verify", delta3_file, "--k-max", "2"]) == 20
+    captured = capsys.readouterr()
+    result = report(captured.out, "verify")["result"]
+    assert result["agree"] is False and result["artifact"] is None
+    assert captured.err.startswith("error: disagreement artifact not written: ")
+    assert name in captured.err and captured.err.count("\n") == 1
+    assert [p.name for p in disagreeing.iterdir()] == [name]
+    assert not any((disagreeing / name).iterdir())
 
 
 def test_gen_round_trips(capsys, tmp_path):
@@ -376,6 +399,16 @@ def test_dot_star_and_path(capsys, fan_file):
     )
     assert "F5 -> F4;" in path
     assert "F3 -> F2;" in path
+
+
+def test_dot_without_a_leaf_order_exits_11(capsys, tmp_path):
+    # the triangle has no leaf, so no peel yields a relation tree
+    tri = tmp_path / "tri.json"
+    tri.write_text('{"facets": [[1, 2], [2, 3], [1, 3]]}')
+    assert main(["dot", str(tri)]) == 11
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: complex has no leaf order\n"
 
 
 def test_budget_env_override(capsys, delta3_file, monkeypatch, tmp_path):

@@ -166,6 +166,12 @@ def test_decompose_requires_a_k_cover():
 def test_zero_vector_is_indecomposable_but_not_enumerated():
     assert decompose_cover(D3, (0,) * 6, 0) is None
     assert (0,) * 6 not in [c.a for c in indecomposable_covers(D3, 0)]
+    # a unit vector peels, so its split search runs at order floor 0, where
+    # b = a passes both bounds; only b != a keeps it indecomposable
+    units = [tuple(int(i == v) for i in range(6)) for v in range(6)]
+    for e_v in units:
+        assert decompose_cover(D3, e_v, 0) is None
+    assert [c.a for c in indecomposable_covers(D3, 0)] == sorted(units)
 
 
 def test_decompose_agrees_with_oracle(small_complex_corpus):

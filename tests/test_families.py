@@ -167,9 +167,12 @@ def test_port_next64_is_numpys_raw_stream(np, seed):
 @pytest.mark.parametrize("seed", PORT_SEEDS[::6])
 def test_port_integers_match_numpy(np, seed):
     # the generator draws from lo..hi-1 with lo in {0, 1, 2}; a one-value range
-    # (max_facet_size 1, a single host, t_max 1) draws nothing on either side
+    # (max_facet_size 1, a single host, t_max 1) draws nothing on either side.
+    # Widths just past 2**31 and 3 * 2**30 reject a quarter to a half of the
+    # first draws, so Lemire's redraw loop runs too
     port, ref = PCG64(seed), numpy_generator(np, seed)
-    ranges = [(lo, lo + w) for lo in (0, 1, 2) for w in (*range(1, 66), 1000, 2**32)]
+    widths = (*range(1, 66), 1000, 2**31 + 1, 3 * 2**30, 2**32)
+    ranges = [(lo, lo + w) for lo in (0, 1, 2) for w in widths]
     got = [port.integers(lo, hi) for lo, hi in ranges for _ in range(3)]
     assert got == [int(ref.integers(lo, hi)) for lo, hi in ranges for _ in range(3)]
     assert port.next64() == int(ref.bit_generator.random_raw())
