@@ -83,6 +83,8 @@ from .errors import (
     NotSpecialOddCycleError,
     VerificationFailedError,
     check_order,
+    echo,
+    echo_each,
 )
 from .quasiforest import (
     RelationTree,
@@ -234,7 +236,7 @@ def decompose_cover(
     fpos, facets_at = cx.positions, cx.facets_at
     sums = [sum(vec[p] for p in f) for f in fpos]
     if min(sums) < k:
-        raise NotAKCoverError(f"{list(vec)} is not a {k}-cover")
+        raise NotAKCoverError(f"{echo_each(vec)} is not a {echo(k)}-cover")
     # a weighted vertex with every facet above k is a unit that peels off
     peelable = any(
         x and all(sums[j] > k for j in facets_at[t]) for t, x in enumerate(vec)
@@ -509,7 +511,7 @@ def witness_cover_from_cycle(
         raise ValueError("relation tree does not belong to this complex")
     if not is_cycle(cx, cycle.vertices, cycle.facets):
         raise NotSpecialOddCycleError("witness input is not a cycle")
-    if not cycle.is_odd() or cycle.s < 3 or not is_special_cycle(cx, cycle):
+    if not cycle.is_odd() or not is_special_cycle(cx, cycle):
         raise NotSpecialOddCycleError(
             "witness input must be a special cycle of odd length >= 3"
         )

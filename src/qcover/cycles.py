@@ -20,8 +20,9 @@ by those masks; under ``only_special`` specialness-so-far is read from
 them, since every path facet already holds the two path vertices it
 joins: a facet holding two path vertices is not extended through, and a
 vertex in a path facet is not added.  A canonical form kills duplicates —
-every cycle is generated exactly once, started at its smallest vertex with
-the direction fixed by the smaller (second vertex, first facet) pair.
+every cycle is generated exactly once, started at its smallest vertex, in
+the direction with the smaller (second vertex, first facet) pair (a 2-cycle's
+two directions share their second vertex, so there the facets decide).
 
 Searching for special odd cycles alone, as :func:`find_special_odd_cycle`
 does, the search enters a longer path only when a parity relaxation
@@ -49,6 +50,7 @@ from .errors import (
     LengthMismatchError,
     NotACycleError,
     check_order,
+    echo_each,
 )
 
 DEFAULT_CYCLE_BUDGET = 10_000_000
@@ -102,19 +104,10 @@ def is_cycle(
 def is_special_cycle(cx: SimplicialComplex, cycle: Cycle) -> bool:
     """True when no facet of the cycle contains more than two cycle vertices."""
     if not is_cycle(cx, cycle.vertices, cycle.facets):
-        raise NotACycleError(f"{cycle} is not a cycle of the complex")
+        v, f = map(echo_each, cycle)
+        raise NotACycleError(f"vertices {v}, facets {f}: not a cycle of the complex")
     vset = set(cycle.vertices)
     return all(len(cx.facet(fid) & vset) <= 2 for fid in cycle.facets)
-
-
-def _canonical_closure_ok(
-    path_v: list[int], path_f: list[int], closing_f: int
-) -> bool:
-    # direction canon: the traversal with the smaller (v2, f1) pair survives;
-    # for 2-cycles v2 == v_last, so the facet pair breaks the tie
-    if len(path_v) == 2:
-        return path_f[0] < closing_f
-    return (path_v[1], path_f[0]) < (path_v[-1], closing_f)
 
 
 def _closable(
@@ -240,7 +233,9 @@ def enumerate_cycles(
                 closes
                 and fmask & start_bit
                 and (not only_special or inside <= 2)
-                and _canonical_closure_ok(path_v, path_f, ids[j])
+                # direction canon: the smaller (v2, f1) pair survives; on a
+                # 2-cycle v2 is the last vertex, so the two facets decide
+                and (path_v[1], path_f[0]) < (path_v[-1], ids[j])
             ):
                 yield Cycle(tuple(path_v), tuple(path_f + [ids[j]]))
             # extend the path

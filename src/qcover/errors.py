@@ -80,7 +80,7 @@ def check_seed(seed: int) -> int:
     try:
         return check_order(seed, 0, "seed")
     except ValueError:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}") from None
+        raise ValueError(f"seed must be a nonnegative integer, got {echo(seed)}") from None
 
 
 class QcoverError(Exception):

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .complexes import MAX_VERTICES, SimplicialComplex, _too_many_labels, new_complex
-from .errors import NTooSmallError, TooManyVerticesError, check_order, check_seed
+from .errors import NTooSmallError, TooManyVerticesError, check_order, check_seed, echo
 
 
 def delta_n(n: int) -> SimplicialComplex:
@@ -17,8 +17,9 @@ def delta_n(n: int) -> SimplicialComplex:
     family is never standard graded.  Its maximal generator degree is n-1,
     realized by weight 1 on every center vertex.
     """
+    n = check_order(n, None, "n")
     if n < 3:
-        raise NTooSmallError(f"the family needs n >= 3, got {n}")
+        raise NTooSmallError(f"the family needs n >= 3, got {echo(n)}")
     if 2 * n > MAX_VERTICES:  # refused before its n facets of n labels are built
         raise _too_many_labels(2 * n)
     center = set(range(1, n + 1))

@@ -261,6 +261,25 @@ def test_negative_seed_exits_2(capsys, delta3_file, command):
     assert captured.err == "error: seed must be a nonnegative integer, got -1\n"
 
 
+LONG_NEGATIVE = "-" + "9" * 4000  # parses: under the int-to-str digit limit
+BAD_SEED = "seed must be a nonnegative integer"
+LONG_VALUE_OPTIONS = {
+    "gen random --seed": (["gen", "random", "--facets", "3", "--seed"], BAD_SEED),
+    "verify --seed": (["verify", "FILE", "--seed"], BAD_SEED),
+    "gen delta-n --n": (["gen", "delta-n", "--n"], "the family needs n >= 3"),
+}
+
+
+@pytest.mark.parametrize("option", list(LONG_VALUE_OPTIONS))
+def test_long_negative_seed_or_n_exits_2_with_one_error_line(
+    capsys, delta3_file, option
+):
+    argv, message = LONG_VALUE_OPTIONS[option]
+    argv = [delta3_file if a == "FILE" else a for a in argv] + [LONG_NEGATIVE]
+    expected = f"{message}, got -9999999999999999999... (4001 characters)"
+    assert_one_error_line(capsys, argv, expected)
+
+
 def test_reports_are_reproducible(capsys, delta3_file):
     _, first = run(capsys, ["check", delta3_file])
     _, second = run(capsys, ["check", delta3_file])

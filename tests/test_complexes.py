@@ -109,6 +109,15 @@ def test_smd_selection_and_universe():
     assert [full.facet(fid) for fid in full.facet_ids] == list(cx.facets)
 
 
+def test_repr_shows_the_facets_of_a_view_or_a_root():
+    cx = delta_n(3)
+    view = smd(cx, [1, 2])
+    assert repr(view) == "SimplicialComplex(n=6, facets=[[1, 2, 3], [1, 2, 6]])"
+    assert repr(cx) == (
+        "SimplicialComplex(n=6, facets=[[1, 2, 3], [1, 2, 6], [1, 3, 5], [2, 3, 4]])"
+    )
+
+
 def test_smd_prefix_matches_leaf_order_prefix():
     cx = double_fan()
     view = smd(cx, [1, 2, 3])

@@ -161,6 +161,13 @@ def test_decompose_splits_doubled_certificate():
 def test_decompose_requires_a_k_cover():
     with pytest.raises(NotAKCoverError):
         decompose_cover(D3, (1, 0, 0, 0, 0, 0), 2)
+    # str of an int past the digit limit raises ValueError; the message must not
+    with pytest.raises(NotAKCoverError) as err:
+        decompose_cover(D3, (1,) * 6, 10**5000)
+    assert str(err.value) == "[1, 1, 1, 1, 1, 1] is not a <16610-bit integer>-cover"
+    with pytest.raises(NotAKCoverError) as err:
+        decompose_cover(D3, (10**5000, 0, 0, 0, 0, 0), 1)
+    assert str(err.value) == "[<16610-bit integer>, 0, 0, 0, 0, 0] is not a 1-cover"
 
 
 def test_zero_vector_is_indecomposable_but_not_enumerated():

@@ -11,6 +11,7 @@ from qcover import (
     Cycle,
     LengthMismatchError,
     NotACycleError,
+    UnknownFacetIdError,
     enumerate_cycles,
     find_special_odd_cycle,
     is_cycle,
@@ -68,6 +69,26 @@ def test_cycle_errors():
         is_cycle(cx, (1, 2, 3), (1, 2))
     with pytest.raises(NotACycleError):
         is_special_cycle(cx, Cycle((1, 2), (1, 1)))
+    # the message stays one short line, past the digit limit too
+    with pytest.raises(NotACycleError) as err:
+        is_special_cycle(cx, Cycle((1, 10**5000), (1, 2)))
+    assert str(err.value) == (
+        "vertices [1, <16610-bit integer>], facets [1, 2]: not a cycle of the complex"
+    )
+    long_run = tuple(range(1, 301))
+    with pytest.raises(NotACycleError) as err:
+        is_special_cycle(cx, Cycle(long_run, long_run))
+    assert "... (300 items)], facets [" in str(err.value)
+    assert len(str(err.value)) < 200
+
+
+def test_vertices_off_the_universe_are_no_cycle_before_facets_are_read():
+    # the view's universe is (1, 2, 3, 6): vertex 4 fails before the lookup
+    # of facet 3, which is not in the view
+    view = smd(delta_n(3), [1, 2])
+    assert not is_cycle(view, (1, 4), (1, 3))
+    with pytest.raises(UnknownFacetIdError):
+        is_cycle(view, (1, 2), (1, 3))
 
 
 def test_find_returns_canonical_delta_cycle():

@@ -38,6 +38,17 @@ def test_delta4_shape():
 def test_delta_needs_three():
     with pytest.raises(NTooSmallError):
         delta_n(2)
+    with pytest.raises(NTooSmallError) as err:
+        delta_n(-(10**5000))
+    assert str(err.value) == (
+        "the family needs n >= 3, got <16610-bit negative integer>"
+    )
+
+
+@pytest.mark.parametrize("n", [3.0, "3", None, True])
+def test_delta_needs_an_integer(n):
+    with pytest.raises(ValueError, match="^n must be an integer$"):
+        delta_n(n)
 
 
 def test_delta_contains_the_satellite_cycle():
