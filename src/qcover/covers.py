@@ -64,12 +64,24 @@ against an unoptimized oracle:
   limit (a cut list only prunes less), and only when a degree >= 2 will be
   walked; when the walk raises a class to 1 and a transversal ending there
   is then all >= 1, it stops raising that class.  The walk carries the mask
-  of its weighted classes for this.
+  of its weighted classes for this, and
+* the hits of the quotient depend on its facets alone, so a permutation of
+  the classes that maps the facet set onto itself maps hits onto hits.
+  The quotient lists such swaps once, single class transpositions and
+  disjoint pairs of them such as delta_n's (i j)(n+i n+j), under a fixed
+  work limit and only when a walk box of (k_hi + 1)^m prefixes outgrows
+  that limit.  For each swap g the walk skips a value of a class once the
+  prefix decides a >_lex g(a) (the lex-leader constraint of Crawford,
+  Ginsberg, Luks and Roy, KR 1996).  The checks are grouped by the class
+  where they close, so a class with none pays nothing.  The least hit of
+  an orbit passes them all, so the first hit stays the first, and the
+  list closes its kept hits under the swaps before it lifts them.
 """
 
 from __future__ import annotations
 
 from itertools import chain, combinations_with_replacement, product
+from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .complexes import SimplicialComplex
@@ -268,7 +280,8 @@ def indecomposable_covers(cx: SimplicialComplex, k: int) -> list[CoverVector]:
     exactly by :func:`_lex_first_split` with its order floor set to 1.
     Twins walk as one vertex of the twin quotient, and the hits are lifted.
     For k >= 2 a prefix that weights a whole exact transversal ends the
-    walk of its last class, whose leaves all split (see the module notes).
+    walk of its last class, whose leaves all split, and class swaps keep
+    one hit per orbit, whose images are added back (see the module notes).
     """
     k = check_order(k)
     return _indecomposables(_twin_quotient(cx, k), k, False)
@@ -288,27 +301,60 @@ def _first_hits(cx: SimplicialComplex, k_lo: int, k_hi: int) -> Iterator[tuple]:
         yield k, found[0] if found else None
 
 
-def _twin_quotient(cx: SimplicialComplex, k_hi: int) -> tuple[list, ...]:
+class _Quotient(NamedTuple):
+    """The twin quotient and the walk's tables on it; see :func:`_twin_quotient`."""
+
+    classes: list  # member positions per class, ranked by their last member
+    positions: list  # the class ranks of each facet
+    facets_at: list  # the facets through each class
+    meets: list  # the same, as facet masks
+    closes: list  # masks of the facets each class is last in
+    transversals: list  # exact transversals as class masks, by last class
+    swaps: list  # automorphisms, each a tuple of class pairs (lo, hi)
+    leaders: list  # per class, the lex-leader checks that close there
+
+
+def _twin_quotient(cx: SimplicialComplex, k_hi: int) -> _Quotient:
     """The twin quotient and the walk's tables on it, built once per complex.
 
-    That is (classes, class ranks per facet, facets per class, their facet
-    masks, masks of the facets each class is last in, exact transversals).
-    Transversals are searched only if a degree ``k_hi`` >= 2 will be walked;
-    see the module notes and :func:`_exact_transversals`.
+    Exact transversals and class swaps are searched only if a degree
+    ``k_hi`` >= 2 will be walked; see the module notes,
+    :func:`_exact_transversals` and :func:`_class_swaps`.
     """
     twins: dict[tuple[int, ...], list[int]] = {}
     for p, at in enumerate(cx.facets_at):
         twins.setdefault(at, []).append(p)
-    classes = sorted(twins.values(), key=lambda members: members[-1])
-    rank = {p: r for r, members in enumerate(classes) for p in members}
-    positions = [sorted({rank[p] for p in f}) for f in cx.positions]
+    classes = sorted(twins.values(), key=itemgetter(-1))
+    m = len(classes)
     facets_at = [cx.facets_at[members[0]] for members in classes]
-    meets = [sum(1 << j for j in at) for at in facets_at]
-    closes = [0] * len(classes)
+    positions: list[list[int]] = [[] for _ in cx.positions]
+    fmask = [0] * len(positions)  # the class mask of each facet
+    meets = []
+    for c, at in enumerate(facets_at):
+        mask = 0
+        for j in at:
+            positions[j].append(c)
+            fmask[j] |= 1 << c
+            mask |= 1 << j
+        meets.append(mask)
+    closes = [0] * m
     for j, f in enumerate(positions):
         closes[f[-1]] |= 1 << j
-    ends = _exact_transversals(positions, meets) if k_hi >= 2 else [()] * len(classes)
-    return classes, positions, facets_at, meets, closes, ends
+    if k_hi < 2:
+        return _Quotient(classes, positions, facets_at, meets, closes, [()] * m, [], [()] * m)
+    swaps = _class_swaps(facets_at, meets, fmask) if (k_hi + 1) ** m > _SWAP_BOX else []
+    leaders: list = [[] for _ in classes] if swaps else [()] * m
+    for (lo, hi), *rest in swaps:
+        # (lo, e1, e2, t1, t2): when a[e1] == a[e2], a value below
+        # a[lo] + (a[t1] > a[t2]) leaves the prefix lex-greater than its image
+        lo2, hi2 = rest[0] if rest else (lo, lo)
+        if hi2 <= hi:  # the second pair, if any, is set by now and breaks a tie
+            leaders[hi].append((lo, lo, lo, lo2, hi2))
+        else:  # it is decided later, once the first pair is tied
+            leaders[hi].append((lo, lo, lo, lo, lo))
+            leaders[hi2].append((lo2, lo, hi, lo2, lo2))
+    transversals = _exact_transversals(positions, meets)
+    return _Quotient(classes, positions, facets_at, meets, closes, transversals, swaps, leaders)
 
 
 # search nodes spent on exact transversals per complex; past it the walk
@@ -345,12 +391,72 @@ def _exact_transversals(fpos: list, meets: list) -> list[list[int]]:
     return ends
 
 
-def _indecomposables(q: tuple, k: int, first: bool) -> list[CoverVector]:
+# facet tests spent on class swaps per complex; past it the walk breaks
+# symmetry with the swaps found so far, which is only slower
+_SWAP_WORK = 50_000
+# a walk whose box, (k_hi + 1)^m prefixes of its m classes, is no larger than
+# the search may cost skips the search
+_SWAP_BOX = _SWAP_WORK
+
+
+def _class_swaps(facets_at: list, meets: list, fmask: list) -> list[tuple]:
+    """Class transpositions and disjoint pairs of them that keep the facet set.
+
+    Each is a tuple of class pairs (lo, hi), lo < hi, sorted by lo.  Only
+    classes in equally many facets are swapped.  A transposition (i j) that
+    moves a facet F off the facet set pairs only with the (i2 j2) that takes
+    the image back onto some facet G, so i2 and j2 are the two classes of
+    G ^ (i j)F; the first such F names every candidate.  ``meets`` holds
+    each class's facet mask and ``fmask`` each facet's class mask.
+    """
+    facets = set(fmask)
+    alike: dict[int, list[int]] = {}
+    for c, at in enumerate(facets_at):
+        alike.setdefault(len(at), []).append(c)
+    swaps: list[tuple] = []
+    work = _SWAP_WORK
+    for group in alike.values():
+        for x, i in enumerate(group):
+            for j in group[x + 1 :]:
+                work -= 1
+                if work < 0:
+                    return swaps
+                ij = 1 << i | 1 << j
+                rest = meets[i] ^ meets[j]
+                while rest:
+                    low = rest & -rest
+                    moved = fmask[low.bit_length() - 1] ^ ij
+                    if moved not in facets:
+                        break
+                    rest ^= low
+                else:
+                    swaps.append(((i, j),))
+                    continue
+                work -= len(fmask)
+                for g in fmask:
+                    d = g ^ moved
+                    top = d & (d - 1)  # d less its lowest class
+                    if not top or top & (top - 1) or d & ij:
+                        continue  # G is not two classes away, or shares i or j
+                    i2, j2 = (d ^ top).bit_length() - 1, top.bit_length() - 1
+                    if (i, j) > (i2, j2):
+                        continue  # found from (i2 j2)
+                    if all(
+                        f ^ (ij if (f & ij).bit_count() == 1 else 0)
+                        ^ (d if (f & d).bit_count() == 1 else 0) in facets
+                        for f in fmask
+                    ):
+                        swaps.append(((i, j), (i2, j2)) if i < i2 else ((i2, j2), (i, j)))
+    return swaps
+
+
+def _indecomposables(q: _Quotient, k: int, first: bool) -> list[CoverVector]:
     """The walk behind :func:`indecomposable_covers`; ``first`` stops at one hit.
 
     For k >= 1 it walks the classes of the twin quotient ``q``, then lifts.
     """
-    classes, fpos, facets_at, meets, closes, ends = q
+    classes, fpos, facets_at = q.classes, q.positions, q.facets_at
+    meets, closes, ends, leaders = q.meets, q.closes, q.transversals, q.leaders
     n = sum(map(len, classes))
     if k == 0:
         units = [tuple(int(i == t) for i in range(n)) for t in reversed(range(n))]
@@ -375,28 +481,35 @@ def _indecomposables(q: tuple, k: int, first: bool) -> list[CoverVector]:
             return False
         at = facets_at[t]
         closing = closes[t]
-        ending = ends[t]
+        least = 0  # a value below it leaves the prefix lex-greater than an image
+        for lo, e1, e2, t1, t2 in leaders[t]:
+            if a[e1] == a[e2]:
+                bound = a[lo] + (a[t1] > a[t2])
+                if bound > least:
+                    least = bound
+        # the facets whose last class is t must have reached k
+        if not least and not closing & short and rec(t + 1, sup, short, over):
+            return True
         raised = sup | 1 << t
-        for val in range(k + 1):
-            if val == 1 and ending and any(not T & ~raised for T in ending):
-                break  # every leaf from here splits off 1_T
-            if val:
-                a[t] = val
-                stuck = not meets[t] & ~over
-                for j in at:
-                    s = sums[j] + 1
-                    sums[j] = s
-                    if s == k:
-                        short ^= 1 << j
-                    elif s == k + 1:
-                        over |= 1 << j
-                        for u in fpos[j]:
-                            if a[u] and not meets[u] & ~over:
-                                stuck = True
-                if stuck:
-                    break
-            # the facets whose last class is t must have reached k
-            if not closing & short and rec(t + 1, raised if val else sup, short, over):
+        for T in ends[t]:
+            if not T & ~raised:
+                return False  # every leaf with a[t] >= 1 splits off 1_T
+        for val in range(1, k + 1):
+            a[t] = val
+            stuck = not meets[t] & ~over
+            for j in at:
+                s = sums[j] + 1
+                sums[j] = s
+                if s == k:
+                    short ^= 1 << j
+                elif s == k + 1:
+                    over |= 1 << j
+                    for u in fpos[j]:
+                        if a[u] and not meets[u] & ~over:
+                            stuck = True
+            if stuck:
+                break
+            if val >= least and not closing & short and rec(t + 1, raised, short, over):
                 return True
         x = a[t]
         for j in at:
@@ -408,6 +521,17 @@ def _indecomposables(q: tuple, k: int, first: bool) -> list[CoverVector]:
         rec(0, 0, (1 << len(fpos)) - 1, 0)
     finally:
         del rec  # the closure refers to itself; free the cycle now
+    if not first:  # each orbit kept its least hit; the swaps give back the rest
+        seen = set(hits)
+        for hit in hits:  # grows while it is read
+            for swap in q.swaps:
+                image = list(hit)
+                for lo, hi in swap:
+                    image[lo], image[hi] = image[hi], image[lo]
+                image = tuple(image)
+                if image not in seen:
+                    seen.add(image)
+                    hits.append(image)
     lifts = []
     for hit in hits:
         # a spread of x over a class is a multiset of x of its members

@@ -39,6 +39,7 @@ from .errors import (
     check_order,
     check_seed,
     echo,
+    echo_each,
 )
 
 BranchRule = Callable[[int, tuple[int, ...]], int]
@@ -232,7 +233,7 @@ def relation_tree(
     seq = _peel_order(cx, list(order))
     steps = peel_leaves(cx, detach=reversed(seq))
     if steps is None:
-        raise InvalidLeafOrderError(f"{seq} is not a leaf order of the complex")
+        raise InvalidLeafOrderError(f"{echo_each(seq)} is not a leaf order of the complex")
     return _tree_from_steps(steps, branch_rule)
 
 
@@ -252,7 +253,7 @@ def _tree_from_steps(steps: list, branch_rule: BranchRule) -> RelationTree:
         if chosen not in adm:
             raise ValueError(
                 f"branch rule chose {echo(chosen)}, admissible branches are "
-                f"{list(adm)}"
+                f"{echo_each(adm)}"
             )
         branch[fid] = chosen
         edges.append((min(fid, chosen), max(fid, chosen)))

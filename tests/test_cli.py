@@ -201,6 +201,16 @@ def test_dot_order_with_a_long_id_exits_2_with_one_error_line(capsys, fan_file):
     assert_one_error_line(capsys, argv, expected)
 
 
+def test_dot_rejected_long_order_exits_2_with_one_error_line(capsys, tmp_path):
+    # a permutation of the 63 edges of a path that is no leaf order: the
+    # order is quoted cut, not in full
+    path = tmp_path / "path63.json"
+    path.write_text(to_json(new_complex([{i, i + 1} for i in range(1, 64)])))
+    order = ",".join(map(str, [1, *range(63, 1, -1)]))
+    expected = "[1, 63, 62, 61, 60, 59, 58, 57, 56, 55, 54, 53, 52, ... (63 items)] is not a leaf order"
+    assert_one_error_line(capsys, ["dot", str(path), "--order", order], expected)
+
+
 # int() also takes these; the command line reads integers by the text-label
 # rule, ASCII -?[0-9]+ with spaces around
 NOT_ASCII_INTEGERS = ["\u0663", "\uff13", "1_0", "+1"]

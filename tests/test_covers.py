@@ -338,7 +338,7 @@ def test_first_generator_heads_the_list_on_every_smd_view(cx):
 
 
 def _sorted_transversals(cx):
-    return [sorted(group) for group in _twin_quotient(cx, 2)[-1]]
+    return [sorted(group) for group in _twin_quotient(cx, 2).transversals]
 
 
 def test_exact_transversals_match_oracle(quasi_tree_corpus, small_complex_corpus):
@@ -360,10 +360,8 @@ def test_exact_transversals_match_oracle_on_every_smd_view(cx):
             assert _sorted_transversals(view) == oracle_exact_transversals(view), ids
 
 
-def test_exact_transversals_cut_the_walk(monkeypatch):
-    # a prefix at >= 1 on an exact transversal T splits every leaf below it
-    # as 1_T plus a (k - 1)-cover, so the walk decides those leaves no more:
-    # without the cut these calls decide 540 and 35 leaves
+def _decided_leaves(monkeypatch):
+    """A list that gains one entry per leaf the walk decides from here on."""
     from qcover import covers
 
     decided = []
@@ -371,11 +369,132 @@ def test_exact_transversals_cut_the_walk(monkeypatch):
     monkeypatch.setattr(
         covers, "_lex_first_split", lambda *a: decided.append(a) or split(*a)
     )
+    return decided
+
+
+def test_exact_transversals_cut_the_walk(monkeypatch):
+    # a prefix at >= 1 on an exact transversal T splits every leaf below it
+    # as 1_T plus a (k - 1)-cover, so the walk decides those leaves no more.
+    # Both walks also break symmetry by class swaps; without the cut these
+    # calls decide 63 and 35 leaves, and 540 and 35 without the swaps too
+    decided = _decided_leaves(monkeypatch)
     max_generator_degree(delta_n(4), 5)
-    assert len(decided) == 79
+    assert len(decided) == 15
     decided.clear()
     assert indecomposable_covers(FAN, 4) == []
     assert len(decided) == 1
+
+
+def _apply(swap, vec):
+    out = list(vec)
+    for lo, hi in swap:
+        out[lo], out[hi] = out[hi], out[lo]
+    return tuple(out)
+
+
+def test_class_swaps_keep_the_facet_set(quasi_tree_corpus, small_complex_corpus):
+    # each swap is one or two disjoint class transpositions, lo < hi and sorted,
+    # that maps the quotient's facets onto themselves
+    from qcover import covers
+
+    found = 0
+    for cx in quasi_tree_corpus + small_complex_corpus + list(SMD_VIEW_CASES.values()):
+        q = _twin_quotient(cx, 2)
+        facets = {frozenset(f) for f in q.positions}
+        fmask = [sum(1 << c for c in f) for f in q.positions]
+        for swap in covers._class_swaps(q.facets_at, q.meets, fmask):
+            classes = [c for pair in swap for c in pair]
+            assert len(swap) in (1, 2) and len(set(classes)) == len(classes)
+            assert all(lo < hi for lo, hi in swap) and list(swap) == sorted(swap)
+            image = _apply(swap, range(len(q.classes)))
+            assert {frozenset(image[c] for c in f) for f in facets} == facets, (cx, swap)
+            found += 1
+    assert found > 500
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 10])
+def test_delta_swaps_exchange_two_pairs(monkeypatch, n):
+    # delta_n's automorphisms permute the pairs (i, n + i); its swaps are the
+    # n(n - 1)/2 transpositions of two pairs, and no single class transposition
+    from qcover import covers
+
+    monkeypatch.setattr(covers, "_SWAP_BOX", 0)
+    want = [((i, j), (n + i, n + j)) for i in range(n) for j in range(i + 1, n)]
+    assert sorted(_twin_quotient(delta_n(n), 2).swaps) == want
+
+
+def _all_views(cx):
+    import itertools
+
+    ids = cx.facet_ids
+    return [smd(cx, s) for r in range(1, len(ids) + 1) for s in itertools.combinations(ids, r)]
+
+
+def test_class_swaps_change_no_answer(monkeypatch, quasi_tree_corpus, small_complex_corpus):
+    # small walk boxes skip the swap search, so the oracle tests above mostly
+    # walk without swaps; forced on everywhere, the swaps must give the same
+    # lists, first hits and dmax results as the walk without them
+    from qcover import covers
+
+    picked = [
+        cx
+        for cx in quasi_tree_corpus + small_complex_corpus
+        if len(cx.active_vertices) <= 8
+    ][:60]
+    for name in ("delta3", "fan", "draw15", "cone_pentagon_first", "private_triangle"):
+        picked += _all_views(SMD_VIEW_CASES[name])
+    picked += _all_views(delta_n(4))
+
+    def answers():
+        return [
+            (_answers(cx), max_generator_degree(cx, 3), max_generator_degree(cx, 1))
+            for cx in picked
+        ]
+
+    monkeypatch.setattr(covers, "_SWAP_BOX", 10**100)
+    want = answers()
+    monkeypatch.setattr(covers, "_SWAP_BOX", 0)
+    assert answers() == want
+    assert sum(bool(_twin_quotient(cx, 2).swaps) for cx in picked) > 100
+
+
+def test_swap_work_limit_only_prunes_less(monkeypatch):
+    # past the limit the walk breaks symmetry with the swaps found so far
+    from qcover import covers
+
+    monkeypatch.setattr(covers, "_SWAP_BOX", 0)
+    cases = [delta_n(5), FAN, random_quasi_tree(GeneratorSeed(3, 10, 3))]
+    want = [(_answers(cx), max_generator_degree(cx, 4)) for cx in cases]
+    full = [_twin_quotient(cx, 2).swaps for cx in cases]
+    for limit in (0, 1, 40):
+        monkeypatch.setattr(covers, "_SWAP_WORK", limit)
+        for cx, swaps, answer in zip(cases, full, want):
+            assert set(_twin_quotient(cx, 2).swaps) <= set(swaps)
+            assert (_answers(cx), max_generator_degree(cx, 4)) == answer, (limit, cx)
+    assert _twin_quotient(delta_n(5), 2).swaps != full[0]
+
+
+def test_orbit_closure_gives_back_every_cover(monkeypatch):
+    # delta_n(6)'s 2-covers are the indicators of the 20 triples of centre
+    # vertices, one orbit of its swaps: the walk keeps the least and decides
+    # 2 leaves, and the swaps give back the other 19
+    decided = _decided_leaves(monkeypatch)
+    covers = indecomposable_covers(delta_n(6), 2)
+    assert len(decided) == 2
+    assert len(covers) == 20
+    assert covers[0].a == (0, 0, 0, 1, 1, 1) + (0,) * 6
+    listed = json.dumps([list(c.a) for c in covers]).encode()
+    digest = "026c957316c2269fb87afe4b75609ec13ed764abb520331149418d4c67fba8f5"
+    assert hashlib.sha256(listed).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n, leaves", [(5, 17), (6, 28), (7, 43), (8, 65)])
+def test_delta_dmax_leaves_are_pinned(monkeypatch, n, leaves):
+    # class swaps leave one prefix per orbit of delta_n's pair permutations;
+    # without them these walks decide 177, 788, 3481 and 15142 leaves
+    decided = _decided_leaves(monkeypatch)
+    assert max_generator_degree(delta_n(n), n)[0] == n - 1
+    assert len(decided) == leaves
 
 
 def _answers(cx):
@@ -517,8 +636,8 @@ def _delta_certificates(n):
     return {1: ones({n, 2 * n}), **{j: ones(range(n - j, n + 1)) for j in range(2, n)}}
 
 
-# the delta_n dmax table: d = n - 1 for n = 3..7
-PINNED_DMAX += [(delta_n(n), n, n - 1, _delta_certificates(n)) for n in range(3, 8)]
+# the delta_n dmax table: d = n - 1 for n = 3..10
+PINNED_DMAX += [(delta_n(n), n, n - 1, _delta_certificates(n)) for n in range(3, 11)]
 
 
 @pytest.mark.parametrize("cx, k_max, d, certs", PINNED_DMAX)

@@ -488,6 +488,18 @@ def test_messages_quote_ids_past_the_digit_limit(call, error, message):
     assert str(exc.value) == message
 
 
+def test_branch_rule_message_stays_short_on_a_wide_star():
+    # every edge of the star {1, v} is admissible for the first detached leaf,
+    # so the 62 branches are quoted cut
+    star = new_complex([{1, v} for v in range(2, 65)])
+    with pytest.raises(ValueError) as exc:
+        relation_tree(star, leaf_order(star), lambda leaf, branches: 0)
+    assert str(exc.value) == (
+        "branch rule chose 0, admissible branches are "
+        "[2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, ... (62 items)]"
+    )
+
+
 # --- free vertices --------------------------------------------------------------------
 
 
