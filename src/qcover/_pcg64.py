@@ -9,6 +9,8 @@ Only ``integers(lo, hi)`` and ``choice(pop, size, replace=False)`` are
 reproduced; the tests check both against numpy.
 """
 
+from .errors import echo
+
 _M32 = 0xFFFFFFFF
 _M64 = (1 << 64) - 1
 _M128 = (1 << 128) - 1
@@ -93,15 +95,21 @@ class PCG64:
     def integers(self, lo: int, hi: int) -> int:
         """One of lo..hi-1, as numpy's ``integers(lo, hi)``."""
         if not lo < hi <= lo + (1 << 32):
-            raise ValueError(f"integers needs lo < hi <= lo + 2**32, got {lo}, {hi}")
+            raise ValueError(
+                f"integers needs lo < hi <= lo + 2**32, got {echo(lo)}, {echo(hi)}"
+            )
         return lo + self._bounded(hi - 1 - lo)
 
     def choice(self, pop: int, size: int) -> list[int]:
         """numpy's ``choice(pop, size, replace=False)``: Floyd's sample, shuffled."""
         if pop > _CHOICE_MAX:
-            raise ValueError(f"choice follows numpy only for pop <= {_CHOICE_MAX}, got {pop}")
+            raise ValueError(
+                f"choice follows numpy only for pop <= {_CHOICE_MAX}, got {echo(pop)}"
+            )
         if not 0 <= size <= pop:
-            raise ValueError(f"choice needs 0 <= size <= pop, got {size} of {pop}")
+            raise ValueError(
+                f"choice needs 0 <= size <= pop, got {echo(size)} of {echo(pop)}"
+            )
         picked: list[int] = []
         seen: set[int] = set()
         for j in range(pop - size, pop):

@@ -66,16 +66,15 @@ against an unoptimized oracle:
   is then all >= 1, it stops raising that class.  The walk carries the mask
   of its weighted classes for this, and
 * the hits of the quotient depend on its facets alone, so a permutation of
-  the classes that maps the facet set onto itself maps hits onto hits.
-  The quotient lists such swaps once, single class transpositions and
-  disjoint pairs of them such as delta_n's (i j)(n+i n+j), under a fixed
-  work limit and only when a walk box of (k_hi + 1)^m prefixes outgrows
-  that limit.  For each swap g the walk skips a value of a class once the
-  prefix decides a >_lex g(a) (the lex-leader constraint of Crawford,
-  Ginsberg, Luks and Roy, KR 1996).  The checks are grouped by the class
-  where they close, so a class with none pays nothing.  The least hit of
-  an orbit passes them all, so the first hit stays the first, and the
-  list closes its kept hits under the swaps before it lifts them.
+  the classes that maps the facet set onto itself maps hits onto hits.  The
+  quotient lists such swaps once, by facet cores (see :func:`_class_swaps`),
+  under a fixed work limit and only when a degree >= 2 will be walked.  A
+  swap's first pair (lo, hi) holds the least class it moves, so a prefix
+  with a[hi] < a[lo] is lex-greater than its image and the walk skips it
+  (the lex-leader constraint of Crawford, Ginsberg, Luks and Roy, KR 1996).
+  The least hit of an orbit passes every such comparison, so the first hit
+  stays the first, and the list closes its kept hits under the swaps
+  before it lifts them.
 """
 
 from __future__ import annotations
@@ -311,7 +310,7 @@ class _Quotient(NamedTuple):
     closes: list  # masks of the facets each class is last in
     transversals: list  # exact transversals as class masks, by last class
     swaps: list  # automorphisms, each a tuple of class pairs (lo, hi)
-    leaders: list  # per class, the lex-leader checks that close there
+    leaders: list  # per class, the lo of each swap whose first pair ends there
 
 
 def _twin_quotient(cx: SimplicialComplex, k_hi: int) -> _Quotient:
@@ -340,20 +339,11 @@ def _twin_quotient(cx: SimplicialComplex, k_hi: int) -> _Quotient:
     closes = [0] * m
     for j, f in enumerate(positions):
         closes[f[-1]] |= 1 << j
-    if k_hi < 2:
-        return _Quotient(classes, positions, facets_at, meets, closes, [()] * m, [], [()] * m)
-    swaps = _class_swaps(facets_at, meets, fmask) if (k_hi + 1) ** m > _SWAP_BOX else []
-    leaders: list = [[] for _ in classes] if swaps else [()] * m
-    for (lo, hi), *rest in swaps:
-        # (lo, e1, e2, t1, t2): when a[e1] == a[e2], a value below
-        # a[lo] + (a[t1] > a[t2]) leaves the prefix lex-greater than its image
-        lo2, hi2 = rest[0] if rest else (lo, lo)
-        if hi2 <= hi:  # the second pair, if any, is set by now and breaks a tie
-            leaders[hi].append((lo, lo, lo, lo2, hi2))
-        else:  # it is decided later, once the first pair is tied
-            leaders[hi].append((lo, lo, lo, lo, lo))
-            leaders[hi2].append((lo2, lo, hi, lo2, lo2))
-    transversals = _exact_transversals(positions, meets)
+    swaps = _class_swaps(facets_at, meets, fmask) if k_hi >= 2 else []
+    leaders: list[list[int]] = [[] for _ in classes]
+    for (lo, hi), *_ in swaps:
+        leaders[hi].append(lo)  # a lex-leader has a[lo] <= a[hi]
+    transversals = _exact_transversals(positions, meets) if k_hi >= 2 else [()] * m
     return _Quotient(classes, positions, facets_at, meets, closes, transversals, swaps, leaders)
 
 
@@ -394,59 +384,54 @@ def _exact_transversals(fpos: list, meets: list) -> list[list[int]]:
 # facet tests spent on class swaps per complex; past it the walk breaks
 # symmetry with the swaps found so far, which is only slower
 _SWAP_WORK = 50_000
-# a walk whose box, (k_hi + 1)^m prefixes of its m classes, is no larger than
-# the search may cost skips the search
-_SWAP_BOX = _SWAP_WORK
 
 
 def _class_swaps(facets_at: list, meets: list, fmask: list) -> list[tuple]:
-    """Class transpositions and disjoint pairs of them that keep the facet set.
+    """Class permutations that keep the facet set, found by facet cores.
 
-    Each is a tuple of class pairs (lo, hi), lo < hi, sorted by lo.  Only
-    classes in equally many facets are swapped.  A transposition (i j) that
-    moves a facet F off the facet set pairs only with the (i2 j2) that takes
-    the image back onto some facet G, so i2 and j2 are the two classes of
-    G ^ (i j)F; the first such F names every candidate.  ``meets`` holds
-    each class's facet mask and ``fmask`` each facet's class mask.
+    A class in one facet is that facet's private class, and its value at
+    every hit is forced, max(0, k - the rest of the facet); the facet's core
+    is its class mask less that class.  So a swap of private classes alone
+    fixes every hit, and only a transposition (i j) of shared classes in
+    equally many facets is tried: it is a swap when it maps every core onto
+    a core held by as many facets, with a private class or without alike,
+    and the private classes follow their facets.  Each swap is a tuple of
+    disjoint class pairs (lo, hi), lo < hi, sorted by lo, so the walk needs
+    one comparison per swap, a[lo] <= a[hi] on its first pair.  ``meets``
+    holds each class's facet mask and ``fmask`` each facet's class mask.
     """
-    facets = set(fmask)
-    alike: dict[int, list[int]] = {}
+    private: list = [None] * len(fmask)
+    alike: dict[int, list[int]] = {}  # the shared classes by facet count
     for c, at in enumerate(facets_at):
-        alike.setdefault(len(at), []).append(c)
+        if len(at) == 1:
+            private[at[0]] = c
+        else:
+            alike.setdefault(len(at), []).append(c)
+    core = [f if p is None else f ^ 1 << p for f, p in zip(fmask, private)]
+    held: dict[int, list] = {}  # each core, with the private classes of its facets
+    for c, p in zip(core, private):
+        held.setdefault(c, []).append(p)
     swaps: list[tuple] = []
     work = _SWAP_WORK
     for group in alike.values():
         for x, i in enumerate(group):
             for j in group[x + 1 :]:
-                work -= 1
-                if work < 0:
-                    return swaps
                 ij = 1 << i | 1 << j
-                rest = meets[i] ^ meets[j]
-                while rest:
-                    low = rest & -rest
-                    moved = fmask[low.bit_length() - 1] ^ ij
-                    if moved not in facets:
+                pairs = {(i, j)}
+                moved = meets[i] ^ meets[j]  # the facets whose core moves
+                while moved:
+                    work -= 1
+                    if work < 0:
+                        return swaps
+                    f = (moved & -moved).bit_length() - 1
+                    moved ^= 1 << f
+                    mine, theirs = held[core[f]], held.get(core[f] ^ ij, ())
+                    if [p is None for p in mine] != [p is None for p in theirs]:
                         break
-                    rest ^= low
+                    if mine[0] is not None:  # the private classes follow
+                        pairs.update(zip(map(min, mine, theirs), map(max, mine, theirs)))
                 else:
-                    swaps.append(((i, j),))
-                    continue
-                work -= len(fmask)
-                for g in fmask:
-                    d = g ^ moved
-                    top = d & (d - 1)  # d less its lowest class
-                    if not top or top & (top - 1) or d & ij:
-                        continue  # G is not two classes away, or shares i or j
-                    i2, j2 = (d ^ top).bit_length() - 1, top.bit_length() - 1
-                    if (i, j) > (i2, j2):
-                        continue  # found from (i2 j2)
-                    if all(
-                        f ^ (ij if (f & ij).bit_count() == 1 else 0)
-                        ^ (d if (f & d).bit_count() == 1 else 0) in facets
-                        for f in fmask
-                    ):
-                        swaps.append(((i, j), (i2, j2)) if i < i2 else ((i2, j2), (i, j)))
+                    swaps.append(tuple(sorted(pairs)))
     return swaps
 
 
@@ -482,11 +467,9 @@ def _indecomposables(q: _Quotient, k: int, first: bool) -> list[CoverVector]:
         at = facets_at[t]
         closing = closes[t]
         least = 0  # a value below it leaves the prefix lex-greater than an image
-        for lo, e1, e2, t1, t2 in leaders[t]:
-            if a[e1] == a[e2]:
-                bound = a[lo] + (a[t1] > a[t2])
-                if bound > least:
-                    least = bound
+        for lo in leaders[t]:
+            if a[lo] > least:
+                least = a[lo]
         # the facets whose last class is t must have reached k
         if not least and not closing & short and rec(t + 1, sup, short, over):
             return True

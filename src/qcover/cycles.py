@@ -50,6 +50,7 @@ from .errors import (
     LengthMismatchError,
     NotACycleError,
     check_order,
+    echo,
     echo_each,
 )
 
@@ -104,8 +105,10 @@ def is_cycle(
 def is_special_cycle(cx: SimplicialComplex, cycle: Cycle) -> bool:
     """True when no facet of the cycle contains more than two cycle vertices."""
     if not is_cycle(cx, cycle.vertices, cycle.facets):
-        v, f = map(echo_each, cycle)
-        raise NotACycleError(f"vertices {v}, facets {f}: not a cycle of the complex")
+        raise NotACycleError(
+            f"vertices {echo_each(cycle.vertices)}, facets {echo_each(cycle.facets)}: "
+            "not a cycle of the complex"
+        )
     vset = set(cycle.vertices)
     return all(len(cx.facet(fid) & vset) <= 2 for fid in cycle.facets)
 
@@ -214,7 +217,7 @@ def enumerate_cycles(
         spent += 1
         if budget is not None and spent > budget:
             raise BudgetExceededError(
-                f"cycle search exceeded its budget of {budget} expansions"
+                f"cycle search exceeded its budget of {echo(budget)} expansions"
             )
         n = len(path_v)
         closes = n >= min_close and (not odd_only or n % 2 == 1)

@@ -56,6 +56,11 @@ class GeneratorSeed(_GeneratorSeedFields):
         seed = check_seed(seed)
         num_facets = check_order(num_facets, 1, "num_facets")
         max_facet_size = check_order(max_facet_size, 1, "max_facet_size")
+        if max_facet_size > 2**32 + 1:  # sizes are drawn from 2..max_facet_size
+            raise ValueError(
+                "max_facet_size must be at most 2**32 + 1, the random stream's "
+                f"draw range, got {echo(max_facet_size)}"
+            )
         if num_facets > 1 and max_facet_size < 2:
             raise ValueError(
                 "size-1 facets cannot attach to each other; "
@@ -108,5 +113,5 @@ def random_quasi_tree(g: GeneratorSeed) -> SimplicialComplex:
         next_label += fresh
     raise TooManyVerticesError(
         f"the draw reached {next_label - 1} vertex labels at facet {len(facets) + 1} "
-        f"of {g.num_facets}; the engine supports at most {MAX_VERTICES}"
+        f"of {echo(g.num_facets)}; the engine supports at most {MAX_VERTICES}"
     )

@@ -272,11 +272,24 @@ def test_negative_seed_exits_2(capsys, delta3_file, command):
 
 
 LONG_NEGATIVE = "-" + "9" * 4000  # parses: under the int-to-str digit limit
-BAD_SEED = "seed must be a nonnegative integer"
+LONG_POSITIVE = LONG_NEGATIVE[1:]
+BAD_SEED = "seed must be a nonnegative integer, got -9999999999999999999... (4001 characters)"
 LONG_VALUE_OPTIONS = {
-    "gen random --seed": (["gen", "random", "--facets", "3", "--seed"], BAD_SEED),
-    "verify --seed": (["verify", "FILE", "--seed"], BAD_SEED),
-    "gen delta-n --n": (["gen", "delta-n", "--n"], "the family needs n >= 3"),
+    "gen random --seed": (["gen", "random", "--facets", "3", "--seed", LONG_NEGATIVE], BAD_SEED),
+    "verify --seed": (["verify", "FILE", "--seed", LONG_NEGATIVE], BAD_SEED),
+    "gen delta-n --n": (
+        ["gen", "delta-n", "--n", LONG_NEGATIVE],
+        "the family needs n >= 3, got -9999999999999999999... (4001 characters)",
+    ),
+    "gen random --facets": (
+        ["gen", "random", "--seed", "0", "--facets", LONG_POSITIVE],
+        "at facet 33 of 99999999999999999999... (4000 characters); the engine",
+    ),
+    "gen random --max-facet-size": (
+        ["gen", "random", "--seed", "0", "--facets", "5", "--max-facet-size", LONG_POSITIVE],
+        "max_facet_size must be at most 2**32 + 1, the random stream's draw range, "
+        "got 99999999999999999999... (4000 characters)",
+    ),
 }
 
 
@@ -284,9 +297,9 @@ LONG_VALUE_OPTIONS = {
 def test_long_negative_seed_or_n_exits_2_with_one_error_line(
     capsys, delta3_file, option
 ):
-    argv, message = LONG_VALUE_OPTIONS[option]
-    argv = [delta3_file if a == "FILE" else a for a in argv] + [LONG_NEGATIVE]
-    expected = f"{message}, got -9999999999999999999... (4001 characters)"
+    # and long positive --facets and --max-facet-size values alike
+    argv, expected = LONG_VALUE_OPTIONS[option]
+    argv = [delta3_file if a == "FILE" else a for a in argv]
     assert_one_error_line(capsys, argv, expected)
 
 

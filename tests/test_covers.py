@@ -393,8 +393,12 @@ def _apply(swap, vec):
 
 
 def test_class_swaps_keep_the_facet_set(quasi_tree_corpus, small_complex_corpus):
-    # each swap is one or two disjoint class transpositions, lo < hi and sorted,
-    # that maps the quotient's facets onto themselves
+    # each swap is disjoint class pairs, lo < hi and sorted, that maps the
+    # quotient's facets onto themselves: one pair of shared classes, whose
+    # transposition moves the facet cores, and the private classes that
+    # follow their facets.  A swap of private classes alone maps every hit
+    # to itself, and none is listed.  The first pair need not be the shared
+    # one: on the path {1, 2}, {2, 3}, {3, 4} the swap is ((0, 3), (1, 2))
     from qcover import covers
 
     found = 0
@@ -402,25 +406,53 @@ def test_class_swaps_keep_the_facet_set(quasi_tree_corpus, small_complex_corpus)
         q = _twin_quotient(cx, 2)
         facets = {frozenset(f) for f in q.positions}
         fmask = [sum(1 << c for c in f) for f in q.positions]
+        shared = {c for c, at in enumerate(q.facets_at) if len(at) > 1}
         for swap in covers._class_swaps(q.facets_at, q.meets, fmask):
             classes = [c for pair in swap for c in pair]
-            assert len(swap) in (1, 2) and len(set(classes)) == len(classes)
+            assert len(set(classes)) == len(classes)
             assert all(lo < hi for lo, hi in swap) and list(swap) == sorted(swap)
+            kinds = sorted(len(shared & set(pair)) for pair in swap)  # shared classes per pair
+            assert kinds == [0] * (len(swap) - 1) + [2]
             image = _apply(swap, range(len(q.classes)))
             assert {frozenset(image[c] for c in f) for f in facets} == facets, (cx, swap)
             found += 1
-    assert found > 500
+    assert found > 100
+    path = new_complex([{1, 2}, {2, 3}, {3, 4}])
+    assert _twin_quotient(path, 2).swaps == [((0, 3), (1, 2))]
+    # the double fan's fans on {1, 2} and {2, 3} trade places under
+    # (1 3)(4 6)(5 7); its private tips are not swapped alone
+    assert _twin_quotient(FAN, 2).swaps == [((0, 2), (3, 5), (4, 6))]
+
+
+def _no_swaps(monkeypatch):
+    """Turn the class swaps off: every quotient lists none."""
+    from qcover import covers
+
+    monkeypatch.setattr(covers, "_class_swaps", lambda *a: [])
 
 
 @pytest.mark.parametrize("n", [3, 4, 6, 10])
 def test_delta_swaps_exchange_two_pairs(monkeypatch, n):
     # delta_n's automorphisms permute the pairs (i, n + i); its swaps are the
-    # n(n - 1)/2 transpositions of two pairs, and no single class transposition
-    from qcover import covers
-
-    monkeypatch.setattr(covers, "_SWAP_BOX", 0)
+    # n(n - 1)/2 transpositions of two pairs, and no single class
+    # transposition.  Without them the walk decides more leaves
     want = [((i, j), (n + i, n + j)) for i in range(n) for j in range(i + 1, n)]
     assert sorted(_twin_quotient(delta_n(n), 2).swaps) == want
+    decided = _decided_leaves(monkeypatch)
+    max_generator_degree(delta_n(n), 4)
+    leaves = len(decided)
+    _no_swaps(monkeypatch)
+    decided.clear()
+    max_generator_degree(delta_n(n), 4)
+    assert len(decided) > leaves
+
+
+@pytest.mark.parametrize("cx, k_max, leaves", [(FAN, 4, 4), (D3, 4, 8)])
+def test_small_dmax_leaves_are_pinned(monkeypatch, cx, k_max, leaves):
+    # small walks search swaps too: delta_n(3) decides 8 leaves, not 16
+    decided = _decided_leaves(monkeypatch)
+    max_generator_degree(cx, k_max)
+    assert len(decided) == leaves
 
 
 def _all_views(cx):
@@ -431,15 +463,12 @@ def _all_views(cx):
 
 
 def test_class_swaps_change_no_answer(monkeypatch, quasi_tree_corpus, small_complex_corpus):
-    # small walk boxes skip the swap search, so the oracle tests above mostly
-    # walk without swaps; forced on everywhere, the swaps must give the same
-    # lists, first hits and dmax results as the walk without them
-    from qcover import covers
-
+    # the swaps must give the same lists, first hits and dmax results as
+    # the walk without them
     picked = [
         cx
         for cx in quasi_tree_corpus + small_complex_corpus
-        if len(cx.active_vertices) <= 8
+        if len(cx.active_vertices) <= 8 and _twin_quotient(cx, 2).swaps
     ][:60]
     for name in ("delta3", "fan", "draw15", "cone_pentagon_first", "private_triangle"):
         picked += _all_views(SMD_VIEW_CASES[name])
@@ -451,27 +480,27 @@ def test_class_swaps_change_no_answer(monkeypatch, quasi_tree_corpus, small_comp
             for cx in picked
         ]
 
-    monkeypatch.setattr(covers, "_SWAP_BOX", 10**100)
-    want = answers()
-    monkeypatch.setattr(covers, "_SWAP_BOX", 0)
-    assert answers() == want
     assert sum(bool(_twin_quotient(cx, 2).swaps) for cx in picked) > 100
+    got = answers()
+    _no_swaps(monkeypatch)
+    assert got == answers()
 
 
 def test_swap_work_limit_only_prunes_less(monkeypatch):
     # past the limit the walk breaks symmetry with the swaps found so far
     from qcover import covers
 
-    monkeypatch.setattr(covers, "_SWAP_BOX", 0)
     cases = [delta_n(5), FAN, random_quasi_tree(GeneratorSeed(3, 10, 3))]
     want = [(_answers(cx), max_generator_degree(cx, 4)) for cx in cases]
     full = [_twin_quotient(cx, 2).swaps for cx in cases]
-    for limit in (0, 1, 40):
+    for limit in (0, 1, 10):
         monkeypatch.setattr(covers, "_SWAP_WORK", limit)
         for cx, swaps, answer in zip(cases, full, want):
             assert set(_twin_quotient(cx, 2).swaps) <= set(swaps)
             assert (_answers(cx), max_generator_degree(cx, 4)) == answer, (limit, cx)
     assert _twin_quotient(delta_n(5), 2).swaps != full[0]
+    _no_swaps(monkeypatch)
+    assert [(_answers(cx), max_generator_degree(cx, 4)) for cx in cases] == want
 
 
 def test_orbit_closure_gives_back_every_cover(monkeypatch):

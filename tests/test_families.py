@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from qcover import (
@@ -249,6 +251,25 @@ def test_random_quasi_tree_stops_once_its_labels_pass_64():
     with pytest.raises(TooManyVerticesError, match="reached 86 vertex labels at facet 1 of 5"):
         random_quasi_tree(GeneratorSeed(0, 5, 100))
     assert random_quasi_tree(GeneratorSeed(1, 1, 100)).vertex_count == 48
+
+
+def test_generator_seed_refuses_a_size_range_past_the_stream(np):
+    # sizes are drawn from 2..max_facet_size, and the stream draws from at
+    # most 2**32 values.  The widest range still draws as numpy does, and
+    # the refusals quote the value cut short
+    first = int(numpy_generator(np, 0).integers(2, 2**32 + 2))
+    with pytest.raises(TooManyVerticesError, match=f"^the draw reached {first} vertex labels at facet 1 of 2;"):
+        random_quasi_tree(GeneratorSeed(0, 2, 2**32 + 1))
+    message = "^max_facet_size must be at most 2\\*\\*32 \\+ 1, the random stream's draw range, got "
+    for bad, shown in [(2**32 + 2, "4294967298"), (10**4000 - 1, "99999999999999999999... (4000 characters)")]:
+        with pytest.raises(ValueError, match=message + re.escape(shown) + "$"):
+            GeneratorSeed(0, 5, bad)
+    with pytest.raises(TooManyVerticesError) as err:
+        random_quasi_tree(GeneratorSeed(0, 10**5000, 4))
+    assert str(err.value) == (
+        "the draw reached 67 vertex labels at facet 33 of <16610-bit integer>; "
+        "the engine supports at most 64"
+    )
 
 
 def test_oversized_families_are_refused_before_they_are_built():

@@ -92,3 +92,52 @@ def test_submodules_are_reachable_with_and_without_their_import(fresh_python):
     )
     out = fresh_python(["-c", probe], check=True).stdout
     assert out.split() == ["qcover.covers", "6"]
+
+
+# Formatted in an error message without echo: lengths, module constants
+# (upper case), dunder names and these names, which hold positions,
+# parameter names or messages that the package builds itself.
+UNQUOTED_OK = {"idx", "lineno", "leaf", "least", "name", "exc", "next_label"}
+
+
+def _unquoted(value):
+    """The names in a formatted value that reach the text without echo."""
+    import ast
+
+    if isinstance(value, ast.Call) and getattr(value.func, "id", None) in ("echo", "echo_each", "len"):
+        return []
+    if isinstance(value, ast.Name):
+        ok = value.id in UNQUOTED_OK or value.id.isupper() or value.id.startswith("__")
+        return [] if ok else [value.id]
+    return [name for child in ast.iter_child_nodes(value) for name in _unquoted(child)]
+
+
+def _error_fstrings(tree):
+    """The f-strings inside a raise or passed to a call of an ...Error class."""
+    import ast
+
+    found = {}  # a raise of an ...Error call holds its f-strings twice
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            root = node.exc
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", "").endswith("Error"):
+            root = node
+        else:
+            continue
+        found.update((sub, None) for sub in ast.walk(root) if isinstance(sub, ast.JoinedStr))
+    return list(found)
+
+
+def test_error_messages_quote_outside_values_through_echo():
+    # an outside value formatted raw can make a message of thousands of
+    # characters; echo and echo_each cut it to one short line
+    import ast
+    from pathlib import Path
+
+    found = []
+    for path in sorted(Path(qcover.__file__).parent.glob("*.py")):
+        for fstring in _error_fstrings(ast.parse(path.read_text())):
+            for value in fstring.values:
+                if isinstance(value, ast.FormattedValue):
+                    found += [f"{path.name}:{value.lineno}: {n}" for n in _unquoted(value.value)]
+    assert found == []
