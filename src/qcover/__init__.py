@@ -61,7 +61,9 @@ __all__ = sorted(_HOME)
 def __getattr__(name: str):
     mod = _HOME.get(name)
     if mod is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        from .errors import echo
+
+        raise AttributeError(f"module {__name__!r} has no attribute {echo(name)}")
     import importlib
 
     module = importlib.import_module(f"{__name__}.{mod}")

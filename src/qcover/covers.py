@@ -397,7 +397,8 @@ def _class_swaps(facets_at: list, meets: list, fmask: list) -> list[tuple]:
     a core held by as many facets, with a private class or without alike,
     and the private classes follow their facets.  Each swap is a tuple of
     disjoint class pairs (lo, hi), lo < hi, sorted by lo, so the walk needs
-    one comparison per swap, a[lo] <= a[hi] on its first pair.  ``meets``
+    one comparison per swap, a[lo] <= a[hi] on its first pair.  With no two
+    shared classes in equally many facets, no core is built.  ``meets``
     holds each class's facet mask and ``fmask`` each facet's class mask.
     """
     private: list = [None] * len(fmask)
@@ -407,13 +408,18 @@ def _class_swaps(facets_at: list, meets: list, fmask: list) -> list[tuple]:
             private[at[0]] = c
         else:
             alike.setdefault(len(at), []).append(c)
+    groups = [group for group in alike.values() if len(group) > 1]
+    if not groups:
+        return []
     core = [f if p is None else f ^ 1 << p for f, p in zip(fmask, private)]
     held: dict[int, list] = {}  # each core, with the private classes of its facets
     for c, p in zip(core, private):
         held.setdefault(c, []).append(p)
+    # a core's facets each hold a private class, or it is one facet with none
+    shape = {c: 0 if ps[0] is None else len(ps) for c, ps in held.items()}
     swaps: list[tuple] = []
     work = _SWAP_WORK
-    for group in alike.values():
+    for group in groups:
         for x, i in enumerate(group):
             for j in group[x + 1 :]:
                 ij = 1 << i | 1 << j
@@ -425,14 +431,79 @@ def _class_swaps(facets_at: list, meets: list, fmask: list) -> list[tuple]:
                         return swaps
                     f = (moved & -moved).bit_length() - 1
                     moved ^= 1 << f
-                    mine, theirs = held[core[f]], held.get(core[f] ^ ij, ())
-                    if [p is None for p in mine] != [p is None for p in theirs]:
+                    mine = core[f]
+                    if shape[mine] != shape.get(mine ^ ij):
                         break
-                    if mine[0] is not None:  # the private classes follow
-                        pairs.update(zip(map(min, mine, theirs), map(max, mine, theirs)))
+                    if shape[mine]:  # the private classes follow
+                        ps, qs = held[mine], held[mine ^ ij]
+                        pairs.update(zip(map(min, ps, qs), map(max, ps, qs)))
                 else:
                     swaps.append(tuple(sorted(pairs)))
     return swaps
+
+
+def _facet_swaps(cx: SimplicialComplex) -> list[list[tuple[int, int]]]:
+    """Facet permutations of ``cx`` that class permutations induce.
+
+    Each swap of :func:`_class_swaps` sends facet j to the facet whose class
+    mask is j's with the swapped classes exchanged.  Two facets with the
+    same core trade places when their private classes are exchanged, a swap
+    that the walk leaves out, as it fixes every hit; each such pair of
+    neighbours in a core's facet list is one more permutation.  All are
+    products of disjoint transpositions, listed as pairs (j, h), j < h.
+    Transpositions generate the symmetric group on each component of the
+    graph they span, so one that joins two facets of a component spanned
+    by those kept before it is left out.
+    """
+    q = _twin_quotient(cx, 2)
+    fmask = [sum(1 << c for c in f) for f in q.positions]
+    index = {mask: j for j, mask in enumerate(fmask)}
+    perms = []
+    for swap in q.swaps:
+        pairs = []
+        for j, mask in enumerate(fmask):
+            for lo, hi in swap:
+                if (mask >> lo ^ mask >> hi) & 1:
+                    mask ^= 1 << lo | 1 << hi
+            if j < index[mask]:
+                pairs.append((j, index[mask]))
+        perms.append(pairs)
+    alike: dict[int, list[int]] = {}  # the facets with a private class, by core
+    for j, f in enumerate(q.positions):
+        for c in f:
+            if len(q.facets_at[c]) == 1:
+                alike.setdefault(fmask[j] ^ 1 << c, []).append(j)
+    for js in alike.values():
+        perms += [[pair] for pair in zip(js, js[1:])]
+    kept, up = [], list(range(len(fmask)))  # a forest of the kept transpositions
+    for pairs in perms:
+        if len(pairs) == 1:
+            j, h = pairs[0]
+            while up[j] != j:
+                j = up[j]
+            while up[h] != h:
+                h = up[h]
+            if j == h:
+                continue
+            up[h] = j
+        kept.append(pairs)
+    return kept
+
+
+def _facet_orbit(perms: list, mask: int) -> list[int]:
+    """The orbit of a facet mask under the permutations of :func:`_facet_swaps`."""
+    orbit = [mask]
+    seen = {mask}
+    for m in orbit:  # grows while it is read
+        for pairs in perms:
+            image = m
+            for j, h in pairs:
+                if (m >> j ^ m >> h) & 1:
+                    image ^= 1 << j | 1 << h
+            if image not in seen:
+                seen.add(image)
+                orbit.append(image)
+    return orbit
 
 
 def _indecomposables(q: _Quotient, k: int, first: bool) -> list[CoverVector]:

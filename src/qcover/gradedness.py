@@ -142,9 +142,14 @@ def cross_validate(
     ``sweep_smds`` additionally walks every facet-subset subcomplex and
     records, per subcomplex, whether a special odd cycle and a degree-2
     generator exist; a degree-2 generator without a cycle in the same
-    subcomplex is flagged inconsistent.
+    subcomplex is flagged inconsistent.  Both answers depend on the view's
+    twin quotient alone: a special odd cycle holds at most one vertex per
+    twin class, and generators lift from the quotient.  A swap of twin
+    classes that keeps the facets maps views onto views with isomorphic
+    quotients, so one view per orbit of the swaps is decided, and the full
+    selection takes its answers from the two verdicts.
     """
-    from .covers import _first_indecomposable_cover
+    from .covers import _facet_orbit, _facet_swaps, _first_indecomposable_cover
 
     # type only: a non-quasi-tree raises NotQuasiTreeError before any bound check
     check_order(k_max, None, "k_max")
@@ -153,12 +158,20 @@ def cross_validate(
     sweep = None
     if sweep_smds:
         sweep = []
-        ids = list(cx.facet_ids)
+        ids = cx.facet_ids
+        bit = {fid: 1 << j for j, fid in enumerate(ids)}
+        deg2 = brute.cover_witness is not None and brute.cover_witness.k == 2
+        known = {(1 << len(ids)) - 1: (crit.cycle_witness is not None, deg2)}
+        perms = _facet_swaps(cx)
         for r in range(1, len(ids) + 1):
             for subset in itertools.combinations(ids, r):
-                view = smd(cx, subset)
-                has_cycle = find_special_odd_cycle(view) is not None
-                has_deg2 = _first_indecomposable_cover(view, 2) is not None
+                mask = sum(map(bit.__getitem__, subset))
+                if mask not in known:  # the first view of its orbit
+                    view = smd(cx, subset)
+                    has_cycle = find_special_odd_cycle(view) is not None
+                    has_deg2 = _first_indecomposable_cover(view, 2) is not None
+                    known |= dict.fromkeys(_facet_orbit(perms, mask), (has_cycle, has_deg2))
+                has_cycle, has_deg2 = known[mask]
                 sweep.append(
                     {
                         "facet_ids": list(subset),

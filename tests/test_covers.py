@@ -23,6 +23,7 @@ from qcover import (
     NotQuasiTreeError,
     NotSpecialOddCycleError,
     cover_order,
+    cross_validate,
     decompose_cover,
     extend_cover_by_leaf,
     find_special_odd_cycle,
@@ -30,6 +31,7 @@ from qcover import (
     is_standard_graded,
     is_k_cover,
     is_leaf,
+    is_quasi_tree,
     leaf_order,
     max_generator_degree,
     new_complex,
@@ -37,7 +39,12 @@ from qcover import (
     smd,
     witness_cover_from_cycle,
 )
-from qcover.covers import _first_indecomposable_cover, _twin_quotient
+from qcover.covers import (
+    _facet_orbit,
+    _facet_swaps,
+    _first_indecomposable_cover,
+    _twin_quotient,
+)
 from qcover.cycles import Cycle
 from qcover.families import GeneratorSeed, delta_n, double_fan, random_quasi_tree
 from qcover.quasiforest import max_branch_rule, random_branch_rule
@@ -501,6 +508,81 @@ def test_swap_work_limit_only_prunes_less(monkeypatch):
     assert _twin_quotient(delta_n(5), 2).swaps != full[0]
     _no_swaps(monkeypatch)
     assert [(_answers(cx), max_generator_degree(cx, 4)) for cx in cases] == want
+
+
+@pytest.mark.parametrize("cx", list(SMD_VIEW_CASES.values()), ids=list(SMD_VIEW_CASES))
+def test_views_in_one_swap_orbit_share_their_answers(cx):
+    # the sweep decides one view per orbit of the facet permutations that
+    # class permutations induce; checked here on every view, on the
+    # complexes that cross_validate refuses as well.  Each permutation is
+    # one that a class swap induces, or two facets with the same core
+    # trading their private classes
+    ids = cx.facet_ids
+    perms = _facet_swaps(cx)
+    q = _twin_quotient(cx, 2)
+    private = {c for c, at in enumerate(q.facets_at) if len(at) == 1}
+    induced = []
+    for swap in q.swaps:
+        to = _apply(swap, range(len(q.classes)))
+        image = [q.positions.index(sorted(to[c] for c in f)) for f in q.positions]
+        induced.append([(j, h) for j, h in enumerate(image) if j < h])
+    for pairs in perms:
+        assert pairs and all(j < h for j, h in pairs)
+        if pairs not in induced:
+            (j, h), = pairs
+            f, g = set(q.positions[j]), set(q.positions[h])
+            assert len(f - g) == len(g - f) == 1 and (f ^ g) <= private
+
+    def answers(mask):
+        view = smd(cx, [fid for j, fid in enumerate(ids) if mask >> j & 1])
+        return (
+            find_special_odd_cycle(view) is not None,
+            _first_indecomposable_cover(view, 2) is not None,
+        )
+
+    shared = 0
+    for mask in range(1, 1 << len(ids)):
+        orbit = _facet_orbit(perms, mask)
+        assert orbit[0] == mask and len(set(orbit)) == len(orbit)
+        assert {bin(m).count("1") for m in orbit} == {bin(mask).count("1")}
+        assert {answers(m) for m in orbit} == {answers(mask)}, (ids, mask)
+        shared += len(orbit) > 1
+    assert bool(shared) == bool(perms)
+
+
+def _has_uneven_swap(cx):
+    """Whether a class swap of cx pairs two twin classes of different sizes."""
+    q = _twin_quotient(cx, 2)
+    return any(len(q.classes[lo]) != len(q.classes[hi]) for swap in q.swaps for lo, hi in swap)
+
+
+def test_sweep_rows_do_not_depend_on_the_swaps(
+    monkeypatch, quasi_tree_corpus, small_complex_corpus, universe
+):
+    # with swaps the sweep decides one view per orbit; below, neither the
+    # walks nor the sweep get a swap, so every view is decided alone.
+    # cross_validate takes quasi-trees only.  Of the universe, the draws with
+    # swaps and at most 7 facets are taken: those with 8 or 9 would add ~8 s
+    from qcover import covers
+
+    draws = [cx for name, cx in universe if name.startswith("rqt:") and len(cx.facet_ids) <= 7]
+    picked = [cx for cx in SMD_VIEW_CASES.values() if is_quasi_tree(cx)]
+    picked += [*map(delta_n, range(3, 7)), FAN]
+    picked += [
+        cx
+        for cx in quasi_tree_corpus + small_complex_corpus + draws
+        if len(cx.facet_ids) <= 9 and _twin_quotient(cx, 2).swaps and is_quasi_tree(cx)
+    ]
+    assert len(picked) > 80
+    assert sum(map(_has_uneven_swap, picked)) > 10
+
+    def sweeps():
+        return [cross_validate(cx, k, sweep_smds=True).smd_sweep for cx in picked for k in (2, 4)]
+
+    got = sweeps()
+    _no_swaps(monkeypatch)
+    monkeypatch.setattr(covers, "_facet_swaps", lambda cx: [])
+    assert got == sweeps()
 
 
 def test_orbit_closure_gives_back_every_cover(monkeypatch):

@@ -232,6 +232,29 @@ def test_sweep_reports_are_pinned(build, rows, digest):
     assert hashlib.sha256(canonical).hexdigest() == digest
 
 
+@pytest.mark.parametrize("n", range(3, 9))
+def test_delta_sweep_searches_one_view_per_orbit(monkeypatch, n):
+    # delta_n's pair permutations leave 2n + 1 orbits of its facet subsets,
+    # with or without the centre and by how many satellites they hold.  The
+    # full selection reads the two verdicts, so the cycle search runs on 2n
+    # views, not on all 2^(n+1) - 1
+    from qcover import gradedness
+
+    views = []
+    search = gradedness.find_special_odd_cycle
+
+    def counted(cx, *args, **kwargs):
+        if cx.parent is not None:
+            views.append(cx.facet_ids)
+        return search(cx, *args, **kwargs)
+
+    monkeypatch.setattr(gradedness, "find_special_odd_cycle", counted)
+    rows = cross_validate(delta_n(n), 2, sweep_smds=True).smd_sweep
+    assert len(rows) == 2 ** (n + 1) - 1
+    assert all(row["consistent"] for row in rows)
+    assert len(views) == 2 * n
+
+
 def test_verdict_serialization_round_trip():
     v = is_standard_graded(delta_n(3))
     d = v.to_dict()
