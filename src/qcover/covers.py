@@ -74,7 +74,16 @@ against an unoptimized oracle:
   (the lex-leader constraint of Crawford, Ginsberg, Luks and Roy, KR 1996).
   The least hit of an orbit passes every such comparison, so the first hit
   stays the first, and the list closes its kept hits under the swaps
-  before it lifts them.
+  before it lifts them, and
+* a class in one facet only that is that facet's last class is *forced*:
+  the walk keeps one value for it, max(0, k - the facet's sum so far).  A
+  smaller one leaves the facet below k when it closes, and a larger one
+  leaves the class in no tight facet.  That value brings the facet at most
+  to k, so no facet newly crosses k, and it depends only on classes ranked
+  before it, so the order of the hits stays.  The quotient lists the forced
+  classes once, and the step of each free class sets the run of forced
+  classes after it in place, under the lex-leader and transversal cuts,
+  before it walks on: the walk branches on the free classes alone.
 """
 
 from __future__ import annotations
@@ -280,7 +289,9 @@ def indecomposable_covers(cx: SimplicialComplex, k: int) -> list[CoverVector]:
     Twins walk as one vertex of the twin quotient, and the hits are lifted.
     For k >= 2 a prefix that weights a whole exact transversal ends the
     walk of its last class, whose leaves all split, and class swaps keep
-    one hit per orbit, whose images are added back (see the module notes).
+    one hit per orbit, whose images are added back.  A class that lies in
+    one facet and closes it has one admissible value and is set in place,
+    not walked (see the module notes).
     """
     k = check_order(k)
     return _indecomposables(_twin_quotient(cx, k), k, False)
@@ -311,6 +322,7 @@ class _Quotient(NamedTuple):
     transversals: list  # exact transversals as class masks, by last class
     swaps: list  # automorphisms, each a tuple of class pairs (lo, hi)
     leaders: list  # per class, the lo of each swap whose first pair ends there
+    forced: list  # per class, the facet it closes and lies in alone, else None
 
 
 def _twin_quotient(cx: SimplicialComplex, k_hi: int) -> _Quotient:
@@ -337,14 +349,20 @@ def _twin_quotient(cx: SimplicialComplex, k_hi: int) -> _Quotient:
             mask |= 1 << j
         meets.append(mask)
     closes = [0] * m
+    forced: list = [None] * (m + 1)  # None past the last class ends every run
     for j, f in enumerate(positions):
-        closes[f[-1]] |= 1 << j
+        c = f[-1]
+        closes[c] |= 1 << j
+        if len(facets_at[c]) == 1:
+            forced[c] = j
     swaps = _class_swaps(facets_at, meets, fmask) if k_hi >= 2 else []
     leaders: list[list[int]] = [[] for _ in classes]
     for (lo, hi), *_ in swaps:
         leaders[hi].append(lo)  # a lex-leader has a[lo] <= a[hi]
     transversals = _exact_transversals(positions, meets) if k_hi >= 2 else [()] * m
-    return _Quotient(classes, positions, facets_at, meets, closes, transversals, swaps, leaders)
+    return _Quotient(
+        classes, positions, facets_at, meets, closes, transversals, swaps, leaders, forced
+    )
 
 
 # search nodes spent on exact transversals per complex; past it the walk
@@ -512,7 +530,7 @@ def _indecomposables(q: _Quotient, k: int, first: bool) -> list[CoverVector]:
     For k >= 1 it walks the classes of the twin quotient ``q``, then lifts.
     """
     classes, fpos, facets_at = q.classes, q.positions, q.facets_at
-    meets, closes, ends, leaders = q.meets, q.closes, q.transversals, q.leaders
+    meets, closes, ends, leaders, forced = q.meets, q.closes, q.transversals, q.leaders, q.forced
     n = sum(map(len, classes))
     if k == 0:
         units = [tuple(int(i == t) for i in range(n)) for t in reversed(range(n))]
@@ -524,8 +542,42 @@ def _indecomposables(q: _Quotient, k: int, first: bool) -> list[CoverVector]:
     if k == 1:  # a transversal's indicator is then a hit, not a summand
         ends = [()] * m
 
+    def fold(t: int, sup: int, short: int, over: int) -> bool:
+        """Set the forced classes from t on in place, then walk the next free class.
+
+        Each takes max(0, k - its facet's sum), the one value that rec's value
+        loop would keep; when the lex-leader or transversal cut drops that
+        value, the prefix has no leaf.
+        """
+        c = t
+        found = False
+        while (j := forced[c]) is not None:
+            x = k - sums[j] if sums[j] < k else 0
+            cut = False  # whether a cut of rec's value loop drops that value
+            for lo in leaders[c]:
+                if a[lo] > x:
+                    cut = True  # the prefix is lex-greater than an image
+            if x:
+                sup |= 1 << c
+                for T in ends[c]:
+                    if not T & ~sup:
+                        cut = True  # every leaf splits off 1_T
+            if cut:
+                break
+            if x:
+                a[c] = x
+                sums[j] = k
+                short ^= 1 << j
+            c += 1
+        else:
+            found = rec(c, sup, short, over)
+        for u in range(t, c):
+            sums[forced[u]] -= a[u]
+            a[u] = 0
+        return found
+
     def rec(t: int, sup: int, short: int, over: int) -> bool:
-        """Walk the classes from t on; True once ``first`` has its hit.
+        """Walk the free class t and the classes after it; True once ``first`` has its hit.
 
         The masks are of the classes set >= 1 and the facets below and above k.
         """
@@ -541,8 +593,9 @@ def _indecomposables(q: _Quotient, k: int, first: bool) -> list[CoverVector]:
         for lo in leaders[t]:
             if a[lo] > least:
                 least = a[lo]
+        go = rec if forced[t + 1] is None else fold
         # the facets whose last class is t must have reached k
-        if not least and not closing & short and rec(t + 1, sup, short, over):
+        if not least and not closing & short and go(t + 1, sup, short, over):
             return True
         raised = sup | 1 << t
         for T in ends[t]:
@@ -563,7 +616,7 @@ def _indecomposables(q: _Quotient, k: int, first: bool) -> list[CoverVector]:
                             stuck = True
             if stuck:
                 break
-            if val >= least and not closing & short and rec(t + 1, raised, short, over):
+            if val >= least and not closing & short and go(t + 1, raised, short, over):
                 return True
         x = a[t]
         for j in at:
@@ -572,9 +625,9 @@ def _indecomposables(q: _Quotient, k: int, first: bool) -> list[CoverVector]:
         return False
 
     try:
-        rec(0, 0, (1 << len(fpos)) - 1, 0)
+        fold(0, 0, (1 << len(fpos)) - 1, 0)
     finally:
-        del rec  # the closure refers to itself; free the cycle now
+        del fold, rec  # the closures refer to each other; free the cycle now
     if not first:  # each orbit kept its least hit; the swaps give back the rest
         seen = set(hits)
         for hit in hits:  # grows while it is read

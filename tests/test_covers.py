@@ -608,6 +608,116 @@ def test_delta_dmax_leaves_are_pinned(monkeypatch, n, leaves):
     assert len(decided) == leaves
 
 
+def _forced(cx):
+    """The forced classes of cx's quotient, each with the facet it closes."""
+    from qcover import covers
+
+    return {c: j for c, j in enumerate(covers._twin_quotient(cx, 2).forced) if j is not None}
+
+
+def _unfold(monkeypatch):
+    """Turn the forced classes off: the walk tries every value of every class."""
+    from qcover import covers
+
+    quotient = covers._twin_quotient
+
+    def unfolded(cx, k_hi):
+        q = quotient(cx, k_hi)
+        return q._replace(forced=[None] * len(q.forced))
+
+    monkeypatch.setattr(covers, "_twin_quotient", unfolded)
+
+
+def test_forced_classes_are_the_private_classes_that_close():
+    # a class in one facet only is forced when no class after it lies in
+    # that facet.  The 14-vertex tree's 7 private classes all close their
+    # facets; on the path vertex 1 is private but vertex 2 closes its facet
+    tree14 = random_quasi_tree(GeneratorSeed(3, 10, 3))
+    q = _twin_quotient(tree14, 2)
+    private = [c for c, at in enumerate(q.facets_at) if len(at) == 1]
+    assert _forced(tree14) == {3: 2, 6: 5, 7: 3, 9: 1, 10: 7, 11: 8, 12: 9}
+    assert list(_forced(tree14)) == private
+    assert _forced(new_complex([{1, 2}, {2, 3}, {3, 4}])) == {3: 2}
+    assert _forced(new_complex([{1, 2, 3, 4}])) == {0: 0}
+    assert _twin_quotient(D3, 2).forced == [None, None, None, 3, 2, 1, None]
+
+
+def test_a_singleton_facets_class_is_forced_to_k(monkeypatch):
+    # no class before it weights the isolated facet {7}, so every leaf puts
+    # k on it; delta_n(3)'s private classes take what their facets lack
+    cx = new_complex([*(D3.facet(fid) for fid in D3.facet_ids), {7}])
+    assert _forced(cx) == {3: 3, 4: 2, 5: 1, 6: 4}
+    decided = _decided_leaves(monkeypatch)
+    for k in (1, 2, 3):
+        decided.clear()
+        indecomposable_covers(cx, k)
+        assert decided and all(leaf[0][6] == k for leaf in decided), k
+        assert all(leaf[0][3] == max(0, k - leaf[0][1] - leaf[0][2]) for leaf in decided), k
+
+
+def test_forced_classes_change_no_answer(monkeypatch, quasi_tree_corpus, small_complex_corpus):
+    # a forced class set in place takes the one value the value loop keeps,
+    # so the walk decides the same leaves in the same order: the lists,
+    # first hits and dmax certificates are those of the walk without it
+    picked = quasi_tree_corpus + small_complex_corpus
+    for cx in SMD_VIEW_CASES.values():
+        picked += _all_views(cx)
+    assert sum(bool(_forced(cx)) for cx in picked) > 600
+    decided = _decided_leaves(monkeypatch)
+
+    def answers():
+        decided.clear()
+        got = [
+            (
+                [[c.a for c in indecomposable_covers(cx, k)] for k in (1, 2, 3)],
+                [_first_indecomposable_cover(cx, k) for k in (1, 2, 3)],
+                max_generator_degree(cx, 3),
+            )
+            for cx in picked
+        ]
+        return got, [leaf[:2] for leaf in decided]
+
+    got, leaves = answers()
+    assert len(leaves) > 5000
+    _unfold(monkeypatch)
+    assert all(not _forced(cx) for cx in picked)
+    assert answers() == (got, leaves)
+
+
+def test_forced_classes_cut_the_walk(monkeypatch):
+    # indecomposable_covers(tree14, 2) makes 356 walk calls, 232 at its 6
+    # free classes and one at each of the 124 leaves it decides; walking
+    # its 7 forced classes by value as well takes 1342 for the same leaves
+    import sys
+
+    from qcover import covers
+
+    tree14 = random_quasi_tree(GeneratorSeed(3, 10, 3))
+    walk = next(
+        c for c in covers._indecomposables.__code__.co_consts if getattr(c, "co_name", "") == "rec"
+    )
+    decided = _decided_leaves(monkeypatch)
+
+    def calls():
+        count = 0
+
+        def profile(frame, event, arg):
+            nonlocal count
+            count += event == "call" and frame.f_code is walk
+
+        decided.clear()
+        sys.setprofile(profile)
+        try:
+            assert indecomposable_covers(tree14, 2) == []
+        finally:
+            sys.setprofile(None)
+        return count, len(decided)
+
+    assert calls() == (356, 124)
+    _unfold(monkeypatch)
+    assert calls() == (1342, 124)
+
+
 def _answers(cx):
     """The lists and first hits for k = 0..3."""
     return [
