@@ -82,8 +82,20 @@ against an unoptimized oracle:
   to k, so no facet newly crosses k, and it depends only on classes ranked
   before it, so the order of the hits stays.  The quotient lists the forced
   classes once, and the step of each free class sets the run of forced
-  classes after it in place, under the lex-leader and transversal cuts,
-  before it walks on: the walk branches on the free classes alone.
+  classes after it in place, under the lex-leader, transversal and learned
+  cuts, before it walks on: the walk branches on the free classes alone, and
+* for k >= 2 a leaf that splits teaches the walk a cut when its summand b
+  is 0/1, b = 1_S.  Let i = min(order of 1_S, k - 1), >= 1 by the order
+  floor.  A leaf a' >= 1_S whose sum on each facet F with |S & F| > i is at
+  least |S & F| + k - i splits as 1_S, of order >= i, plus a' - 1_S: on
+  those facets the need leaves k - i, and on the others a' leaves k - i as
+  a k-cover, so both parts are nonzero.  Facet sums only grow, so once a
+  prefix weights all of S and meets every need, no hit lies below it.  The
+  walk files the cut under the last class of S and stops raising that
+  class when a cut holds, in the value loop or where a forced class is
+  set.  Only subtrees without a hit are dropped, so the hits and their
+  order stay.  An exact transversal is such a cut without needs, known
+  before any leaf is decided.
 """
 
 from __future__ import annotations
@@ -291,7 +303,10 @@ def indecomposable_covers(cx: SimplicialComplex, k: int) -> list[CoverVector]:
     walk of its last class, whose leaves all split, and class swaps keep
     one hit per orbit, whose images are added back.  A class that lies in
     one facet and closes it has one admissible value and is set in place,
-    not walked (see the module notes).
+    not walked.  A leaf that splits off a 0/1 summand 1_S is learned as a
+    cut: a later prefix that weights all of S and brings the facets S meets
+    most up to that split's needs stops raising the last class of S (see
+    the module notes).
     """
     k = check_order(k)
     return _indecomposables(_twin_quotient(cx, k), k, False)
@@ -319,6 +334,7 @@ class _Quotient(NamedTuple):
     facets_at: list  # the facets through each class
     meets: list  # the same, as facet masks
     closes: list  # masks of the facets each class is last in
+    fmasks: list  # the class mask of each facet
     transversals: list  # exact transversals as class masks, by last class
     swaps: list  # automorphisms, each a tuple of class pairs (lo, hi)
     leaders: list  # per class, the lo of each swap whose first pair ends there
@@ -339,13 +355,13 @@ def _twin_quotient(cx: SimplicialComplex, k_hi: int) -> _Quotient:
     m = len(classes)
     facets_at = [cx.facets_at[members[0]] for members in classes]
     positions: list[list[int]] = [[] for _ in cx.positions]
-    fmask = [0] * len(positions)  # the class mask of each facet
+    fmasks = [0] * len(positions)
     meets = []
     for c, at in enumerate(facets_at):
         mask = 0
         for j in at:
             positions[j].append(c)
-            fmask[j] |= 1 << c
+            fmasks[j] |= 1 << c
             mask |= 1 << j
         meets.append(mask)
     closes = [0] * m
@@ -355,13 +371,13 @@ def _twin_quotient(cx: SimplicialComplex, k_hi: int) -> _Quotient:
         closes[c] |= 1 << j
         if len(facets_at[c]) == 1:
             forced[c] = j
-    swaps = _class_swaps(facets_at, meets, fmask) if k_hi >= 2 else []
+    swaps = _class_swaps(facets_at, meets, fmasks) if k_hi >= 2 else []
     leaders: list[list[int]] = [[] for _ in classes]
     for (lo, hi), *_ in swaps:
         leaders[hi].append(lo)  # a lex-leader has a[lo] <= a[hi]
     transversals = _exact_transversals(positions, meets) if k_hi >= 2 else [()] * m
     return _Quotient(
-        classes, positions, facets_at, meets, closes, transversals, swaps, leaders, forced
+        classes, positions, facets_at, meets, closes, fmasks, transversals, swaps, leaders, forced
     )
 
 
@@ -474,12 +490,11 @@ def _facet_swaps(cx: SimplicialComplex) -> list[list[tuple[int, int]]]:
     by those kept before it is left out.
     """
     q = _twin_quotient(cx, 2)
-    fmask = [sum(1 << c for c in f) for f in q.positions]
-    index = {mask: j for j, mask in enumerate(fmask)}
+    index = {mask: j for j, mask in enumerate(q.fmasks)}
     perms = []
     for swap in q.swaps:
         pairs = []
-        for j, mask in enumerate(fmask):
+        for j, mask in enumerate(q.fmasks):
             for lo, hi in swap:
                 if (mask >> lo ^ mask >> hi) & 1:
                     mask ^= 1 << lo | 1 << hi
@@ -490,10 +505,10 @@ def _facet_swaps(cx: SimplicialComplex) -> list[list[tuple[int, int]]]:
     for j, f in enumerate(q.positions):
         for c in f:
             if len(q.facets_at[c]) == 1:
-                alike.setdefault(fmask[j] ^ 1 << c, []).append(j)
+                alike.setdefault(q.fmasks[j] ^ 1 << c, []).append(j)
     for js in alike.values():
         perms += [[pair] for pair in zip(js, js[1:])]
-    kept, up = [], list(range(len(fmask)))  # a forest of the kept transpositions
+    kept, up = [], list(range(len(q.fmasks)))  # a forest of the kept transpositions
     for pairs in perms:
         if len(pairs) == 1:
             j, h = pairs[0]
@@ -524,12 +539,33 @@ def _facet_orbit(perms: list, mask: int) -> list[int]:
     return orbit
 
 
+def _split_cut(b: tuple[int, ...], k: int, fmasks: list) -> Optional[tuple[int, list]]:
+    """The cut that a leaf's summand b teaches the walk, or None unless b is 0/1.
+
+    For b = 1_S it is S's class mask and the needs: with i = min(order of
+    1_S, k - 1), each facet F with |S & F| > i and the sum |S & F| + k - i
+    that F must reach.  A minimal k-cover that weights all of S and meets
+    every need splits as 1_S, of order >= i, plus a (k - i)-cover.
+    """
+    s = 0
+    for c, x in enumerate(b):
+        if x:
+            if x > 1:
+                return None
+            s |= 1 << c
+    counts = [(f & s).bit_count() for f in fmasks]
+    i = min(counts)
+    if i >= k:
+        i = k - 1
+    return s, [(j, n + k - i) for j, n in enumerate(counts) if n > i]
+
+
 def _indecomposables(q: _Quotient, k: int, first: bool) -> list[CoverVector]:
     """The walk behind :func:`indecomposable_covers`; ``first`` stops at one hit.
 
     For k >= 1 it walks the classes of the twin quotient ``q``, then lifts.
     """
-    classes, fpos, facets_at = q.classes, q.positions, q.facets_at
+    classes, fpos, facets_at, fmasks = q.classes, q.positions, q.facets_at, q.fmasks
     meets, closes, ends, leaders, forced = q.meets, q.closes, q.transversals, q.leaders, q.forced
     n = sum(map(len, classes))
     if k == 0:
@@ -541,13 +577,14 @@ def _indecomposables(q: _Quotient, k: int, first: bool) -> list[CoverVector]:
     hits: list[tuple[int, ...]] = []
     if k == 1:  # a transversal's indicator is then a hit, not a summand
         ends = [()] * m
+    cuts: list[list] = [[] for _ in range(m)]  # learned (S, needs), by S's last class, newest first
 
     def fold(t: int, sup: int, short: int, over: int) -> bool:
         """Set the forced classes from t on in place, then walk the next free class.
 
         Each takes max(0, k - its facet's sum), the one value that rec's value
-        loop would keep; when the lex-leader or transversal cut drops that
-        value, the prefix has no leaf.
+        loop would keep; when the lex-leader, transversal or learned cut drops
+        that value, the prefix has no leaf.
         """
         c = t
         found = False
@@ -558,17 +595,25 @@ def _indecomposables(q: _Quotient, k: int, first: bool) -> list[CoverVector]:
                 if a[lo] > x:
                     cut = True  # the prefix is lex-greater than an image
             if x:
+                a[c] = x
+                sums[j] = k
+                short ^= 1 << j
                 sup |= 1 << c
                 for T in ends[c]:
                     if not T & ~sup:
                         cut = True  # every leaf splits off 1_T
+                if cuts[c]:
+                    for S, needs in cuts[c]:
+                        if not S & ~sup:
+                            for i, need in needs:
+                                if sums[i] < need:
+                                    break
+                            else:
+                                cut = True  # every leaf splits off 1_S
+                                break
+            c += 1
             if cut:
                 break
-            if x:
-                a[c] = x
-                sums[j] = k
-                short ^= 1 << j
-            c += 1
         else:
             found = rec(c, sup, short, over)
         for u in range(t, c):
@@ -583,9 +628,13 @@ def _indecomposables(q: _Quotient, k: int, first: bool) -> list[CoverVector]:
         """
         if t == m:
             cand = tuple(a)
-            if _lex_first_split(cand, k, facets_at, sums, 1) is None:
+            b = _lex_first_split(cand, k, facets_at, sums, 1)
+            if b is None:
                 hits.append(cand)
                 return first
+            cut = _split_cut(b, k, fmasks)
+            if cut is not None:
+                cuts[cut[0].bit_length() - 1].insert(0, cut)  # it mostly holds near its leaf
             return False
         at = facets_at[t]
         closing = closes[t]
@@ -601,6 +650,7 @@ def _indecomposables(q: _Quotient, k: int, first: bool) -> list[CoverVector]:
         for T in ends[t]:
             if not T & ~raised:
                 return False  # every leaf with a[t] >= 1 splits off 1_T
+        learned = cuts[t]  # grows as the leaves below t are decided
         for val in range(1, k + 1):
             a[t] = val
             stuck = not meets[t] & ~over
@@ -616,6 +666,17 @@ def _indecomposables(q: _Quotient, k: int, first: bool) -> list[CoverVector]:
                             stuck = True
             if stuck:
                 break
+            if learned:
+                for S, needs in learned:
+                    if not S & ~raised:
+                        for i, need in needs:
+                            if sums[i] < need:
+                                break
+                        else:
+                            stuck = True  # every leaf from here on splits off 1_S
+                            break
+                if stuck:
+                    break
             if val >= least and not closing & short and go(t + 1, raised, short, over):
                 return True
         x = a[t]

@@ -382,11 +382,12 @@ def _decided_leaves(monkeypatch):
 def test_exact_transversals_cut_the_walk(monkeypatch):
     # a prefix at >= 1 on an exact transversal T splits every leaf below it
     # as 1_T plus a (k - 1)-cover, so the walk decides those leaves no more.
-    # Both walks also break symmetry by class swaps; without the cut these
-    # calls decide 63 and 35 leaves, and 540 and 35 without the swaps too
+    # Both walks also break symmetry by class swaps and learn a cut from each
+    # splitting leaf (15 leaves before that); without the transversal cut
+    # these calls decide 13 and 3 leaves, and 40 and 4 without the swaps too
     decided = _decided_leaves(monkeypatch)
     max_generator_degree(delta_n(4), 5)
-    assert len(decided) == 15
+    assert len(decided) == 9
     decided.clear()
     assert indecomposable_covers(FAN, 4) == []
     assert len(decided) == 1
@@ -412,9 +413,9 @@ def test_class_swaps_keep_the_facet_set(quasi_tree_corpus, small_complex_corpus)
     for cx in quasi_tree_corpus + small_complex_corpus + list(SMD_VIEW_CASES.values()):
         q = _twin_quotient(cx, 2)
         facets = {frozenset(f) for f in q.positions}
-        fmask = [sum(1 << c for c in f) for f in q.positions]
+        assert q.fmasks == [sum(1 << c for c in f) for f in q.positions]
         shared = {c for c, at in enumerate(q.facets_at) if len(at) > 1}
-        for swap in covers._class_swaps(q.facets_at, q.meets, fmask):
+        for swap in covers._class_swaps(q.facets_at, q.meets, q.fmasks):
             classes = [c for pair in swap for c in pair]
             assert len(set(classes)) == len(classes)
             assert all(lo < hi for lo, hi in swap) and list(swap) == sorted(swap)
@@ -454,9 +455,14 @@ def test_delta_swaps_exchange_two_pairs(monkeypatch, n):
     assert len(decided) > leaves
 
 
-@pytest.mark.parametrize("cx, k_max, leaves", [(FAN, 4, 4), (D3, 4, 8)])
+# the ids keep the counts from before the walk learned cuts from its leaves
+@pytest.mark.parametrize(
+    "cx, k_max, leaves",
+    [pytest.param(FAN, 4, 4, id="cx0-4-4"), pytest.param(D3, 4, 6, id="cx1-4-8")],
+)
 def test_small_dmax_leaves_are_pinned(monkeypatch, cx, k_max, leaves):
-    # small walks search swaps too: delta_n(3) decides 8 leaves, not 16
+    # small walks search swaps too: delta_n(3) decides 6 leaves, not 10.
+    # Cuts learned from its splitting leaves took it from 8 to 6
     decided = _decided_leaves(monkeypatch)
     max_generator_degree(cx, k_max)
     assert len(decided) == leaves
@@ -599,10 +605,20 @@ def test_orbit_closure_gives_back_every_cover(monkeypatch):
     assert hashlib.sha256(listed).hexdigest() == digest
 
 
-@pytest.mark.parametrize("n, leaves", [(5, 17), (6, 28), (7, 43), (8, 65)])
+# the ids keep the counts from before the walk learned cuts from its leaves
+@pytest.mark.parametrize(
+    "n, leaves",
+    [
+        pytest.param(5, 10, id="5-17"),
+        pytest.param(6, 14, id="6-28"),
+        pytest.param(7, 18, id="7-43"),
+        pytest.param(8, 22, id="8-65"),
+    ],
+)
 def test_delta_dmax_leaves_are_pinned(monkeypatch, n, leaves):
     # class swaps leave one prefix per orbit of delta_n's pair permutations;
-    # without them these walks decide 177, 788, 3481 and 15142 leaves
+    # without them these walks decide 39, 90, 192 and 368 leaves.  Cuts
+    # learned from the splitting leaves took them from 17, 28, 43 and 65
     decided = _decided_leaves(monkeypatch)
     assert max_generator_degree(delta_n(n), n)[0] == n - 1
     assert len(decided) == leaves
@@ -685,9 +701,11 @@ def test_forced_classes_change_no_answer(monkeypatch, quasi_tree_corpus, small_c
 
 
 def test_forced_classes_cut_the_walk(monkeypatch):
-    # indecomposable_covers(tree14, 2) makes 356 walk calls, 232 at its 6
-    # free classes and one at each of the 124 leaves it decides; walking
-    # its 7 forced classes by value as well takes 1342 for the same leaves
+    # indecomposable_covers(tree14, 2) makes 255 walk calls, 232 at its 6
+    # free classes and one at each of the 23 leaves it decides; walking
+    # its 7 forced classes by value as well takes 1083 for the same leaves.
+    # Cuts learned from the splitting leaves took these from (356, 124)
+    # and (1342, 124)
     import sys
 
     from qcover import covers
@@ -713,9 +731,83 @@ def test_forced_classes_cut_the_walk(monkeypatch):
             sys.setprofile(None)
         return count, len(decided)
 
-    assert calls() == (356, 124)
+    assert calls() == (255, 23)
     _unfold(monkeypatch)
-    assert calls() == (1342, 124)
+    assert calls() == (1083, 23)
+
+
+def _no_learned_cuts(monkeypatch):
+    """Turn the learned cuts off: no splitting leaf teaches the walk a cut."""
+    from qcover import covers
+
+    monkeypatch.setattr(covers, "_split_cut", lambda *a: None)
+
+
+def test_learned_cuts_drop_only_splitting_leaves(
+    monkeypatch, quasi_tree_corpus, small_complex_corpus
+):
+    # a splitting leaf's summand 1_S is a cut: below a prefix that weights
+    # all of S and meets its facet needs, every leaf splits.  So per call the
+    # walk with cuts gives the answers of the walk without them and decides a
+    # subsequence of its leaves, and every leaf of the walk without cuts that
+    # a cut learned with them covers is split by decompose_cover
+    from qcover import covers
+
+    picked = quasi_tree_corpus + small_complex_corpus
+    for cx in SMD_VIEW_CASES.values():
+        picked += _all_views(cx)
+    calls = [
+        *(lambda cx, k=k: [c.a for c in indecomposable_covers(cx, k)] for k in (1, 2, 3)),
+        *(lambda cx, k=k: _first_indecomposable_cover(cx, k) for k in (1, 2, 3)),
+        lambda cx: max_generator_degree(cx, 3),
+    ]
+    decided = _decided_leaves(monkeypatch)
+    learned = []
+    split_cut = covers._split_cut
+
+    def learn(b, k, fmasks):
+        cut = split_cut(b, k, fmasks)
+        if cut is not None:
+            learned.append((k, *cut))
+        return cut
+
+    def walks():
+        got = []
+        for cx in picked:
+            for call in calls:
+                decided.clear()
+                learned.clear()
+                got.append((call(cx), [leaf[:2] for leaf in decided], list(learned)))
+        return got
+
+    monkeypatch.setattr(covers, "_split_cut", learn)
+    with_cuts = walks()
+    _no_learned_cuts(monkeypatch)
+    without = walks()
+    covered = 0
+    for cx, (answer, leaves, cuts), (want, every, none) in zip(
+        (cx for cx in picked for _ in calls), with_cuts, without
+    ):
+        assert answer == want and not none
+        rest = iter(every)
+        assert all(leaf in rest for leaf in leaves), cx  # a subsequence
+        q = _twin_quotient(cx, 3)
+        for vec, k in every:
+            sums = [sum(vec[c] for c in f) for f in q.positions]
+            weighted = sum(1 << c for c, x in enumerate(vec) if x)
+            if any(
+                j == k and not s & ~weighted and all(sums[f] >= need for f, need in needs)
+                for j, s, needs in cuts
+            ):
+                lift = [0] * len(cx.active_vertices)
+                for members, x in zip(q.classes, vec):
+                    lift[members[-1]] = x
+                assert decompose_cover(cx, lift, k) is not None, (cx, vec, k)
+                covered += 1
+    assert sum(len(got[2]) for got in with_cuts) > 1000
+    assert covered > 1000
+    dropped = sum(len(w[1]) - len(c[1]) for w, c in zip(without, with_cuts))
+    assert dropped > 1000
 
 
 def _answers(cx):
