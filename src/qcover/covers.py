@@ -55,16 +55,6 @@ against an unoptimized oracle:
   quotient's lexicographic order is that of the lifts putting each total
   on that position, and each such lift is the least of its cover's: the
   first hit stays the first, and
-* for k >= 2 nothing below a prefix that is >= 1 on an exact transversal
-  T, a set of twin classes with exactly one class in every facet, is a
-  hit: any k-cover a' above it splits as 1_T, of order 1, plus a' - 1_T,
-  of order >= k - 1 and so nonzero, and the split of the class totals
-  spreads back under the lift.  The quotient lists its exact transversals
-  once, as class masks grouped by their last class and under a fixed work
-  limit (a cut list only prunes less), and only when a degree >= 2 will be
-  walked; when the walk raises a class to 1 and a transversal ending there
-  is then all >= 1, it stops raising that class.  The walk carries the mask
-  of its weighted classes for this, and
 * the hits of the quotient depend on its facets alone, so a permutation of
   the classes that maps the facet set onto itself maps hits onto hits.  The
   quotient lists such swaps once, by facet cores (see :func:`_class_swaps`),
@@ -82,8 +72,8 @@ against an unoptimized oracle:
   to k, so no facet newly crosses k, and it depends only on classes ranked
   before it, so the order of the hits stays.  The quotient lists the forced
   classes once, and the step of each free class sets the run of forced
-  classes after it in place, under the lex-leader, transversal and learned
-  cuts, before it walks on: the walk branches on the free classes alone, and
+  classes after it in place, under the lex-leader and the cuts below,
+  before it walks on: the walk branches on the free classes alone, and
 * for k >= 2 a leaf that splits teaches the walk a cut when its summand b
   is 0/1, b = 1_S.  Let i = min(order of 1_S, k - 1), >= 1 by the order
   floor.  A leaf a' >= 1_S whose sum on each facet F with |S & F| > i is at
@@ -93,9 +83,15 @@ against an unoptimized oracle:
   prefix weights all of S and meets every need, no hit lies below it.  The
   walk files the cut under the last class of S and stops raising that
   class when a cut holds, in the value loop or where a forced class is
-  set.  Only subtrees without a hit are dropped, so the hits and their
-  order stay.  An exact transversal is such a cut without needs, known
-  before any leaf is decided.
+  set; it carries the mask of its weighted classes for this.  Only
+  subtrees without a hit are dropped, so the hits and their order stay.
+  An exact transversal T, a set of twin classes with exactly one class in
+  every facet, is such a cut without needs, known before any leaf: 1_T has
+  order 1 and meets each facet once, so no facet has a need.  The quotient
+  lists its exact transversals once, as class masks grouped by their last
+  class and under a fixed work limit (a cut list only prunes less), and
+  only when a degree >= 2 will be walked; each walk at k >= 2 seeds its
+  cut lists with them.
 """
 
 from __future__ import annotations
@@ -299,14 +295,14 @@ def indecomposable_covers(cx: SimplicialComplex, k: int) -> list[CoverVector]:
     minimal k-cover, so no unit can be peeled from it, and each is decided
     exactly by :func:`_lex_first_split` with its order floor set to 1.
     Twins walk as one vertex of the twin quotient, and the hits are lifted.
-    For k >= 2 a prefix that weights a whole exact transversal ends the
-    walk of its last class, whose leaves all split, and class swaps keep
-    one hit per orbit, whose images are added back.  A class that lies in
-    one facet and closes it has one admissible value and is set in place,
-    not walked.  A leaf that splits off a 0/1 summand 1_S is learned as a
-    cut: a later prefix that weights all of S and brings the facets S meets
-    most up to that split's needs stops raising the last class of S (see
-    the module notes).
+    For k >= 2 class swaps keep one hit per orbit, whose images are added
+    back.  A class that lies in one facet and closes it has one admissible
+    value and is set in place, not walked.  For k >= 2 the walk also keeps
+    cuts: a prefix that weights all of a class set S and brings the facets
+    S meets most up to their needs stops raising the last class of S, as
+    every leaf below it splits off 1_S.  The exact transversals seed the
+    cuts, with no needs, and each leaf that splits off a 0/1 summand 1_S
+    adds one (see the module notes).
     """
     k = check_order(k)
     return _indecomposables(_twin_quotient(cx, k), k, False)
@@ -335,7 +331,7 @@ class _Quotient(NamedTuple):
     meets: list  # the same, as facet masks
     closes: list  # masks of the facets each class is last in
     fmasks: list  # the class mask of each facet
-    transversals: list  # exact transversals as class masks, by last class
+    transversals: list  # exact transversals as class masks, by last class: the walk's seed cuts
     swaps: list  # automorphisms, each a tuple of class pairs (lo, hi)
     leaders: list  # per class, the lo of each swap whose first pair ends there
     forced: list  # per class, the facet it closes and lies in alone, else None
@@ -566,7 +562,7 @@ def _indecomposables(q: _Quotient, k: int, first: bool) -> list[CoverVector]:
     For k >= 1 it walks the classes of the twin quotient ``q``, then lifts.
     """
     classes, fpos, facets_at, fmasks = q.classes, q.positions, q.facets_at, q.fmasks
-    meets, closes, ends, leaders, forced = q.meets, q.closes, q.transversals, q.leaders, q.forced
+    meets, closes, leaders, forced = q.meets, q.closes, q.leaders, q.forced
     n = sum(map(len, classes))
     if k == 0:
         units = [tuple(int(i == t) for i in range(n)) for t in reversed(range(n))]
@@ -575,16 +571,16 @@ def _indecomposables(q: _Quotient, k: int, first: bool) -> list[CoverVector]:
     sums = [0] * len(fpos)
     a = [0] * m
     hits: list[tuple[int, ...]] = []
-    if k == 1:  # a transversal's indicator is then a hit, not a summand
-        ends = [()] * m
-    cuts: list[list] = [[] for _ in range(m)]  # learned (S, needs), by S's last class, newest first
+    # cuts (S, needs) by S's last class, learned ones newest first; at k = 1 a
+    # transversal's indicator is a hit, not a summand, so only k >= 2 seeds them
+    cuts = [[(T, []) for T in ends] if k > 1 else [] for ends in q.transversals]
 
     def fold(t: int, sup: int, short: int, over: int) -> bool:
         """Set the forced classes from t on in place, then walk the next free class.
 
         Each takes max(0, k - its facet's sum), the one value that rec's value
-        loop would keep; when the lex-leader, transversal or learned cut drops
-        that value, the prefix has no leaf.
+        loop would keep; when the lex-leader or a cut drops that value, the
+        prefix has no leaf.
         """
         c = t
         found = False
@@ -599,9 +595,6 @@ def _indecomposables(q: _Quotient, k: int, first: bool) -> list[CoverVector]:
                 sums[j] = k
                 short ^= 1 << j
                 sup |= 1 << c
-                for T in ends[c]:
-                    if not T & ~sup:
-                        cut = True  # every leaf splits off 1_T
                 if cuts[c]:
                     for S, needs in cuts[c]:
                         if not S & ~sup:
@@ -647,10 +640,7 @@ def _indecomposables(q: _Quotient, k: int, first: bool) -> list[CoverVector]:
         if not least and not closing & short and go(t + 1, sup, short, over):
             return True
         raised = sup | 1 << t
-        for T in ends[t]:
-            if not T & ~raised:
-                return False  # every leaf with a[t] >= 1 splits off 1_T
-        learned = cuts[t]  # grows as the leaves below t are decided
+        held = cuts[t]  # its seeds, then the cuts learned as leaves below t are decided
         for val in range(1, k + 1):
             a[t] = val
             stuck = not meets[t] & ~over
@@ -666,8 +656,8 @@ def _indecomposables(q: _Quotient, k: int, first: bool) -> list[CoverVector]:
                             stuck = True
             if stuck:
                 break
-            if learned:
-                for S, needs in learned:
+            if held:
+                for S, needs in held:
                     if not S & ~raised:
                         for i, need in needs:
                             if sums[i] < need:

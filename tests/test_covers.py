@@ -383,14 +383,22 @@ def test_exact_transversals_cut_the_walk(monkeypatch):
     # a prefix at >= 1 on an exact transversal T splits every leaf below it
     # as 1_T plus a (k - 1)-cover, so the walk decides those leaves no more.
     # Both walks also break symmetry by class swaps and learn a cut from each
-    # splitting leaf (15 leaves before that); without the transversal cut
-    # these calls decide 13 and 3 leaves, and 40 and 4 without the swaps too
+    # splitting leaf (15 leaves before that)
     decided = _decided_leaves(monkeypatch)
-    max_generator_degree(delta_n(4), 5)
-    assert len(decided) == 9
-    decided.clear()
-    assert indecomposable_covers(FAN, 4) == []
-    assert len(decided) == 1
+
+    def leaves():
+        decided.clear()
+        max_generator_degree(delta_n(4), 5)
+        dmax = len(decided)
+        decided.clear()
+        assert indecomposable_covers(FAN, 4) == []
+        return dmax, len(decided)
+
+    assert leaves() == (9, 1)
+    _no_transversals(monkeypatch)
+    assert leaves() == (13, 3)
+    _no_swaps(monkeypatch)
+    assert leaves() == (40, 4)
 
 
 def _apply(swap, vec):
@@ -743,14 +751,23 @@ def _no_learned_cuts(monkeypatch):
     monkeypatch.setattr(covers, "_split_cut", lambda *a: None)
 
 
+def _no_transversals(monkeypatch):
+    """Turn the seeded cuts off: every quotient lists no exact transversal."""
+    from qcover import covers
+
+    monkeypatch.setattr(covers, "_exact_transversals", lambda fpos, meets: [[] for _ in meets])
+
+
 def test_learned_cuts_drop_only_splitting_leaves(
     monkeypatch, quasi_tree_corpus, small_complex_corpus
 ):
-    # a splitting leaf's summand 1_S is a cut: below a prefix that weights
-    # all of S and meets its facet needs, every leaf splits.  So per call the
-    # walk with cuts gives the answers of the walk without them and decides a
-    # subsequence of its leaves, and every leaf of the walk without cuts that
-    # a cut learned with them covers is split by decompose_cover
+    # a cut (S, needs) holds below a prefix that weights all of S and meets
+    # its facet needs, and then every leaf splits off 1_S.  The walk seeds
+    # its cuts with the exact transversals, which have no needs, and learns
+    # one from each splitting leaf with a 0/1 summand.  So per call the walk
+    # with cuts gives the answers of the bare walk, with neither, and decides
+    # a subsequence of its leaves; each bare leaf that a seed or a learned
+    # cut covers is split by decompose_cover, and each dropped leaf is one
     from qcover import covers
 
     picked = quasi_tree_corpus + small_complex_corpus
@@ -782,31 +799,41 @@ def test_learned_cuts_drop_only_splitting_leaves(
 
     monkeypatch.setattr(covers, "_split_cut", learn)
     with_cuts = walks()
+    seeds = [[T for ends in _twin_quotient(cx, 3).transversals for T in ends] for cx in picked]
     _no_learned_cuts(monkeypatch)
-    without = walks()
-    covered = 0
-    for cx, (answer, leaves, cuts), (want, every, none) in zip(
-        (cx for cx in picked for _ in calls), with_cuts, without
+    _no_transversals(monkeypatch)
+    bare = walks()
+    covered = by_seed = dropped = 0
+    for (cx, seeded), (answer, leaves, cuts), (want, every, none) in zip(
+        ((cx, seeded) for cx, seeded in zip(picked, seeds) for _ in calls), with_cuts, bare
     ):
         assert answer == want and not none
         rest = iter(every)
         assert all(leaf in rest for leaf in leaves), cx  # a subsequence
+        kept = 0  # the leaves are distinct, so the subsequence pairs them up
         q = _twin_quotient(cx, 3)
         for vec, k in every:
             sums = [sum(vec[c] for c in f) for f in q.positions]
             weighted = sum(1 << c for c, x in enumerate(vec) if x)
-            if any(
+            seed = k > 1 and any(not T & ~weighted for T in seeded)
+            cut = seed or any(
                 j == k and not s & ~weighted and all(sums[f] >= need for f, need in needs)
                 for j, s, needs in cuts
-            ):
+            )
+            if cut:
                 lift = [0] * len(cx.active_vertices)
                 for members, x in zip(q.classes, vec):
                     lift[members[-1]] = x
                 assert decompose_cover(cx, lift, k) is not None, (cx, vec, k)
                 covered += 1
+                by_seed += seed
+            if kept < len(leaves) and leaves[kept] == (vec, k):
+                kept += 1
+            else:
+                assert cut, (cx, vec, k)  # only a cut drops a leaf
+                dropped += 1
     assert sum(len(got[2]) for got in with_cuts) > 1000
-    assert covered > 1000
-    dropped = sum(len(w[1]) - len(c[1]) for w, c in zip(without, with_cuts))
+    assert covered > 1000 and by_seed > 10000
     assert dropped > 1000
 
 

@@ -148,3 +148,81 @@ def test_error_messages_quote_outside_values_through_echo():
                 if isinstance(value, ast.FormattedValue):
                     found += [f"{path.name}:{value.lineno}: {n}" for n in _unquoted(value.value, ok)]
     assert found == []
+
+
+HUGE = 10**5000
+# the public names whose degree runs the exponential walk, which no budget
+# bounds yet: a huge positive degree is not tried on them
+_NO_HUGE_DEGREE = {
+    "indecomposable_covers", "max_generator_degree", "brute_force_verdict", "cross_validate"
+}
+
+
+def _valid_args():
+    """A valid value for each required parameter of a public callable, by name."""
+    cx = qcover.delta_n(3)
+    tree = qcover.relation_tree(cx, qcover.leaf_order(cx))
+    cycle = qcover.find_special_odd_cycle(cx)
+    leaf = qcover.find_leaf(cx)[0]
+    gamma = qcover.smd(cx, [fid for fid in cx.facet_ids if fid != leaf])
+    return {
+        "cx": cx, "delta": cx, "gamma": gamma, "leaf": leaf, "fid": leaf,
+        "cover": qcover.CoverVector((1,) * len(gamma.active_vertices), 1),
+        "a": (1,) * len(cx.active_vertices), "k": 2, "k_max": 2, "n": 3,
+        "seed": 1, "num_facets": 4, "max_facet_size": 3, "g": qcover.GeneratorSeed(1, 4, 3),
+        "tree": tree, "nodes": tree.nodes, "edges": tree.edges, "branch": tree.branch,
+        "order": qcover.leaf_order(cx), "targets": tree.nodes[:2], "facet_ids": cx.facet_ids[:2],
+        "cycle": cycle, "vertices": cycle.vertices, "facets": [[1, 2], [2, 3]],
+        "branches": (1, 2), "standard_graded": True,
+    }
+
+
+def _outside_values(annotation):
+    """Huge integers or 300-item lists for a parameter of this annotation, or none."""
+    text = getattr(annotation, "__forward_arg__", annotation)  # NamedTuple fields
+    sequence = any(word in text for word in ("Iterable", "Sequence", "tuple"))
+    if text.startswith("dict") or not (sequence or "int" in text):
+        return []
+    if "Iterable[Iterable" in text or "tuple[tuple" in text:
+        return [[[v, v + 1] for v in range(300)], [[HUGE]] * 300, [list(range(300))] * 300]
+    if sequence:
+        return [list(range(300)), [HUGE] * 300, [-HUGE] * 300]
+    return [HUGE, -HUGE]
+
+
+def test_public_api_answers_outside_values_in_short_lines():
+    # every public name that takes an integer or a sequence either returns
+    # or raises QcoverError or ValueError with a message of at most 200
+    # characters, when one such argument is huge, negative or 300 items long
+    import inspect
+    import itertools
+
+    valid = _valid_args()
+    valid_in = {"is_branch_ancestor": {"g": valid["tree"].nodes[0], "f": valid["tree"].nodes[1]}}
+    called, raised = set(), 0
+    for name in qcover.__all__:
+        obj = getattr(qcover, name)
+        if not callable(obj) or (inspect.isclass(obj) and issubclass(obj, BaseException)):
+            continue
+        params = inspect.signature(obj).parameters
+        probes = {p: _outside_values(param.annotation) for p, param in params.items()}
+        if not any(probes.values()):
+            continue
+        mine = {**valid, **valid_in.get(name, {})}
+        args = {
+            p: mine[p] if param.default is param.empty else param.default
+            for p, param in params.items()
+        }
+        for p, values in probes.items():
+            for value in values:
+                if name in _NO_HUGE_DEGREE and p in ("k", "k_max") and value is HUGE:
+                    continue
+                called.add(name)
+                try:
+                    got = obj(**{**args, p: value})
+                    if inspect.isgenerator(got):
+                        list(itertools.islice(got, 1000))
+                except (qcover.QcoverError, ValueError) as exc:
+                    assert len(str(exc)) <= 200, (name, p, str(exc)[:300])
+                    raised += 1
+    assert len(called) == 31 and raised > 50
