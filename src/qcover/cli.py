@@ -253,7 +253,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, QcoverError, ValueError) as exc:
+    except OSError as exc:
+        if exc.filename is None:
+            print(f"error: {exc}", file=sys.stderr)
+        else:  # its str quotes the file name in full
+            print(f"error: {exc.strerror}: {echo(exc.filename)}", file=sys.stderr)
+        return EXIT_INPUT
+    except (QcoverError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

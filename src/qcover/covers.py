@@ -71,9 +71,9 @@ against an unoptimized oracle:
   leaves the class in no tight facet.  That value brings the facet at most
   to k, so no facet newly crosses k, and it depends only on classes ranked
   before it, so the order of the hits stays.  The quotient lists the forced
-  classes once, and the step of each free class sets the run of forced
-  classes after it in place, under the lex-leader and the cuts below,
-  before it walks on: the walk branches on the free classes alone, and
+  classes once.  One step of the walk sets the run of forced classes at its
+  head in place, under the lex-leader and the cuts below, then walks the
+  next free class: the walk branches on the free classes alone, and
 * for k >= 2 a leaf that splits teaches the walk a cut when its summand b
   is 0/1, b = 1_S.  Let i = min(order of 1_S, k - 1), >= 1 by the order
   floor.  A leaf a' >= 1_S whose sum on each facet F with |S & F| > i is at
@@ -297,12 +297,13 @@ def indecomposable_covers(cx: SimplicialComplex, k: int) -> list[CoverVector]:
     Twins walk as one vertex of the twin quotient, and the hits are lifted.
     For k >= 2 class swaps keep one hit per orbit, whose images are added
     back.  A class that lies in one facet and closes it has one admissible
-    value and is set in place, not walked.  For k >= 2 the walk also keeps
-    cuts: a prefix that weights all of a class set S and brings the facets
-    S meets most up to their needs stops raising the last class of S, as
-    every leaf below it splits off 1_S.  The exact transversals seed the
-    cuts, with no needs, and each leaf that splits off a 0/1 summand 1_S
-    adds one (see the module notes).
+    value and is set in place, not walked: one step of the walk sets the
+    run of such classes at its head, then walks the next free class.  For
+    k >= 2 the walk also keeps cuts: a prefix that weights all of a class
+    set S and brings the facets S meets most up to their needs stops
+    raising the last class of S, as every leaf below it splits off 1_S.
+    The exact transversals seed the cuts, with no needs, and each leaf that
+    splits off a 0/1 summand 1_S adds one (see the module notes).
     """
     k = check_order(k)
     return _indecomposables(_twin_quotient(cx, k), k, False)
@@ -575,18 +576,31 @@ def _indecomposables(q: _Quotient, k: int, first: bool) -> list[CoverVector]:
     # transversal's indicator is a hit, not a summand, so only k >= 2 seeds them
     cuts = [[(T, []) for T in ends] if k > 1 else [] for ends in q.transversals]
 
-    def fold(t: int, sup: int, short: int, over: int) -> bool:
-        """Set the forced classes from t on in place, then walk the next free class.
+    def holds(held: list, sup: int) -> bool:
+        """Whether a cut in ``held`` holds below the prefix that weights the classes ``sup``."""
+        for S, needs in held:
+            if not S & ~sup:
+                for i, need in needs:
+                    if sums[i] < need:
+                        break
+                else:
+                    return True  # every leaf from here on splits off 1_S
+        return False
 
-        Each takes max(0, k - its facet's sum), the one value that rec's value
-        loop would keep; when the lex-leader or a cut drops that value, the
-        prefix has no leaf.
+    def rec(t: int, sup: int, short: int, over: int) -> bool:
+        """One step: set the forced run from class t on, then walk the next free class.
+
+        Each forced class takes max(0, k - its facet's sum), the one value that
+        the value loop would keep; when the lex-leader or a cut drops that
+        value, the prefix has no leaf.  Past the run the step decides the leaf
+        at c == m, or walks the values of the free class c, each into the step
+        at c + 1.  The masks are of the classes set >= 1 and the facets below
+        and above k.  True once ``first`` has its hit.
         """
         c = t
-        found = False
         while (j := forced[c]) is not None:
             x = k - sums[j] if sums[j] < k else 0
-            cut = False  # whether a cut of rec's value loop drops that value
+            cut = False  # whether the value loop would drop that value
             for lo in leaders[c]:
                 if a[lo] > x:
                     cut = True  # the prefix is lex-greater than an image
@@ -595,90 +609,64 @@ def _indecomposables(q: _Quotient, k: int, first: bool) -> list[CoverVector]:
                 sums[j] = k
                 short ^= 1 << j
                 sup |= 1 << c
-                if cuts[c]:
-                    for S, needs in cuts[c]:
-                        if not S & ~sup:
-                            for i, need in needs:
-                                if sums[i] < need:
-                                    break
-                            else:
-                                cut = True  # every leaf splits off 1_S
-                                break
+                if cuts[c] and holds(cuts[c], sup):
+                    cut = True
             c += 1
             if cut:
                 break
         else:
-            found = rec(c, sup, short, over)
+            if c == m:
+                cand = tuple(a)
+                b = _lex_first_split(cand, k, facets_at, sums, 1)
+                if b is None:
+                    hits.append(cand)
+                    if first:
+                        return True
+                elif (learned := _split_cut(b, k, fmasks)) is not None:
+                    # it mostly holds near its leaf
+                    cuts[learned[0].bit_length() - 1].insert(0, learned)
+            else:
+                at = facets_at[c]
+                closing = closes[c]
+                least = 0  # a value below it leaves the prefix lex-greater than an image
+                for lo in leaders[c]:
+                    if a[lo] > least:
+                        least = a[lo]
+                # the facets whose last class is c must have reached k
+                if not least and not closing & short and rec(c + 1, sup, short, over):
+                    return True
+                raised = sup | 1 << c
+                held = cuts[c]  # its seeds, then the cuts learned as leaves below c are decided
+                for val in range(1, k + 1):
+                    a[c] = val
+                    stuck = not meets[c] & ~over
+                    for j in at:
+                        s = sums[j] + 1
+                        sums[j] = s
+                        if s == k:
+                            short ^= 1 << j
+                        elif s == k + 1:
+                            over |= 1 << j
+                            for u in fpos[j]:
+                                if a[u] and not meets[u] & ~over:
+                                    stuck = True
+                    if stuck or held and holds(held, raised):
+                        break
+                    if val >= least and not closing & short and rec(c + 1, raised, short, over):
+                        return True
+                x = a[c]
+                for j in at:
+                    sums[j] -= x
+                a[c] = 0
         for u in range(t, c):
             sums[forced[u]] -= a[u]
             a[u] = 0
-        return found
-
-    def rec(t: int, sup: int, short: int, over: int) -> bool:
-        """Walk the free class t and the classes after it; True once ``first`` has its hit.
-
-        The masks are of the classes set >= 1 and the facets below and above k.
-        """
-        if t == m:
-            cand = tuple(a)
-            b = _lex_first_split(cand, k, facets_at, sums, 1)
-            if b is None:
-                hits.append(cand)
-                return first
-            cut = _split_cut(b, k, fmasks)
-            if cut is not None:
-                cuts[cut[0].bit_length() - 1].insert(0, cut)  # it mostly holds near its leaf
-            return False
-        at = facets_at[t]
-        closing = closes[t]
-        least = 0  # a value below it leaves the prefix lex-greater than an image
-        for lo in leaders[t]:
-            if a[lo] > least:
-                least = a[lo]
-        go = rec if forced[t + 1] is None else fold
-        # the facets whose last class is t must have reached k
-        if not least and not closing & short and go(t + 1, sup, short, over):
-            return True
-        raised = sup | 1 << t
-        held = cuts[t]  # its seeds, then the cuts learned as leaves below t are decided
-        for val in range(1, k + 1):
-            a[t] = val
-            stuck = not meets[t] & ~over
-            for j in at:
-                s = sums[j] + 1
-                sums[j] = s
-                if s == k:
-                    short ^= 1 << j
-                elif s == k + 1:
-                    over |= 1 << j
-                    for u in fpos[j]:
-                        if a[u] and not meets[u] & ~over:
-                            stuck = True
-            if stuck:
-                break
-            if held:
-                for S, needs in held:
-                    if not S & ~raised:
-                        for i, need in needs:
-                            if sums[i] < need:
-                                break
-                        else:
-                            stuck = True  # every leaf from here on splits off 1_S
-                            break
-                if stuck:
-                    break
-            if val >= least and not closing & short and go(t + 1, raised, short, over):
-                return True
-        x = a[t]
-        for j in at:
-            sums[j] -= x
-        a[t] = 0
         return False
 
     try:
-        fold(0, 0, (1 << len(fpos)) - 1, 0)
+        rec(0, 0, (1 << len(fpos)) - 1, 0)
     finally:
-        del fold, rec  # the closures refer to each other; free the cycle now
+        del rec  # the closure refers to itself; free the cycle now
     if not first:  # each orbit kept its least hit; the swaps give back the rest
         seen = set(hits)
         for hit in hits:  # grows while it is read

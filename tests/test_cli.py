@@ -10,6 +10,7 @@ import pytest
 
 from qcover import new_complex
 from qcover.cli import main
+from qcover.errors import echo
 from qcover.families import delta_n, double_fan
 from qcover.fileio import complex_digest, load_complex, to_json, to_text
 from qcover.gradedness import CrossValidation, is_standard_graded
@@ -301,6 +302,31 @@ def test_long_negative_seed_or_n_exits_2_with_one_error_line(
     argv, expected = LONG_VALUE_OPTIONS[option]
     argv = [delta3_file if a == "FILE" else a for a in argv]
     assert_one_error_line(capsys, argv, expected)
+
+
+# each reads or writes PATH, a missing file
+MISSING_PATH_COMMANDS = {
+    "check": ["check", "PATH"],
+    "dot-out": ["dot", "FILE", "--out", "PATH"],
+    "gen-out": ["gen", "double-fan", "--out", "PATH"],
+    "covers-emit-golden": ["covers", "FILE", "--k", "2", "--emit-golden", "PATH"],
+}
+
+
+@pytest.mark.parametrize("command", list(MISSING_PATH_COMMANDS))
+def test_long_missing_path_exits_2_with_one_short_error_line(
+    capsys, tmp_path, delta3_file, command
+):
+    # an OSError's own text quotes the file name in full; the line quotes it
+    # cut to 20 characters after the system's reason
+    missing = str(tmp_path / "missing") + "/"
+    path = missing + "x" * (300 - len(missing))
+    argv = [{"FILE": delta3_file, "PATH": path}.get(a, a) for a in MISSING_PATH_COMMANDS[command]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err.encode()) <= 200, err
+    assert err.startswith("error: ") and err.endswith(f": {echo(path)}\n")
+    assert echo(path).endswith("... (300 characters)")
 
 
 def test_reports_are_reproducible(capsys, delta3_file):

@@ -709,11 +709,14 @@ def test_forced_classes_change_no_answer(monkeypatch, quasi_tree_corpus, small_c
 
 
 def test_forced_classes_cut_the_walk(monkeypatch):
-    # indecomposable_covers(tree14, 2) makes 255 walk calls, 232 at its 6
-    # free classes and one at each of the 23 leaves it decides; walking
-    # its 7 forced classes by value as well takes 1083 for the same leaves.
-    # Cuts learned from the splitting leaves took these from (356, 124)
-    # and (1342, 124)
+    # indecomposable_covers(tree14, 2) makes 404 walk steps, each setting a
+    # run of its 7 forced classes in place, then deciding one of the 23
+    # leaves or walking one of its 6 free classes; walking the forced
+    # classes by value as well takes 1083 steps for the same leaves.  Before
+    # one step did both, the walk made 598 frames (343 to set forced runs
+    # and 255 to walk free classes).  Cuts learned from the splitting leaves
+    # had taken the free-class frames from 356 to 255, the walk by value
+    # from 1342 to 1083 and the leaves from 124 to 23
     import sys
 
     from qcover import covers
@@ -739,7 +742,7 @@ def test_forced_classes_cut_the_walk(monkeypatch):
             sys.setprofile(None)
         return count, len(decided)
 
-    assert calls() == (255, 23)
+    assert calls() == (404, 23)
     _unfold(monkeypatch)
     assert calls() == (1083, 23)
 
@@ -897,6 +900,55 @@ def test_degrees_up_to_one_search_no_transversals(monkeypatch):
     assert _first_indecomposable_cover(chain, 1) is not None
     d4 = delta_n(4)
     assert [c.a for c in indecomposable_covers(d4, 1)] == oracle_indecomposable_covers(d4, 1)
+
+
+def _dmax(cx, k_max):
+    d, certs = max_generator_degree(cx, k_max)
+    return d, {k: c.a for k, c in certs.items()}
+
+
+def _covers(cx, k):
+    return [c.a for c in indecomposable_covers(cx, k)]
+
+
+# ten walks: the benchmark's seven brute-force cases, the 12-triangle chain
+# and a 40-vertex draw at degree 2, and delta_n(10) up to degree 10
+LEAF_WALKS = {
+    "delta3_k4": lambda: _dmax(D3, 4),
+    "delta4_k5": lambda: _dmax(delta_n(4), 5),
+    "double_fan_k4": lambda: _dmax(FAN, 4),
+    "delta5_k4": lambda: _dmax(delta_n(5), 4),
+    "tree14_k2": lambda: _covers(random_quasi_tree(GeneratorSeed(3, 10, 3)), 2),
+    "sweep_double_fan": lambda: cross_validate(FAN, 4, sweep_smds=True).to_dict(),
+    "sweep_delta3": lambda: cross_validate(D3, 4, sweep_smds=True).to_dict(),
+    "chain12_k2": lambda: _covers(_triangle_chain(12), 2),
+    "rqt41_k2": lambda: _covers(random_quasi_tree(GeneratorSeed(41, 24, 4)), 2),
+    "delta10_k10": lambda: _dmax(delta_n(10), 10),
+}
+# per walk, its count of decided leaves and the SHA-256 of those leaves, in
+# the order decided, and of its answer
+LEAF_PINS = {
+    "delta3_k4": (6, "59c4434a10cf91f7adbc0b836d2bfc1135fa6211d28a11668466c8e99594fdcf"),
+    "delta4_k5": (9, "bcfbfd1bfd8507818527014fb718b8b13df995ee566389239c35e39970d20c12"),
+    "double_fan_k4": (4, "72d18f15018d0a684d8e35a11737c733d2c2b4d78cf39a8d7f218b5160b4863a"),
+    "delta5_k4": (8, "eba0f2db5567c208a717acbe2abe25c98835c91e38d9c84ff352822c50868d05"),
+    "tree14_k2": (23, "095549838783dd3736610feb49cf1db7a2ce09b021971449d27dae2407b04251"),
+    "sweep_double_fan": (5, "31863ac54474e901604dc79beb3701f7e14bc315f7094bf02e1da4c486acd952"),
+    "sweep_delta3": (6, "ac0addd3b62c53c870b506dd460b274e45905df7b8a6abc24477568cd6b3bdf5"),
+    "chain12_k2": (694, "f8fc0ee0b9d9912d1e8cc93527df3b4823d26e42effc052a22b52fef5f167420"),
+    "rqt41_k2": (574, "9beaf069832a5bb9a4bf0a45c0b54e1494e91b4c8dfd701528832a71b0dbdb8f"),
+    "delta10_k10": (32, "f6aeab7104e853a895ff8d487b523fc83423c9414bbb73c747c1c094cbdd9efe"),
+}
+
+
+@pytest.mark.parametrize("name", list(LEAF_WALKS))
+def test_walks_decide_the_pinned_leaves(monkeypatch, name):
+    # the walk's prunes may change how it reaches its leaves, but not which
+    # leaves it decides, their order or the answer
+    decided = _decided_leaves(monkeypatch)
+    answer = LEAF_WALKS[name]()
+    text = json.dumps([[args[0] for args in decided], answer], separators=(",", ":"))
+    assert (len(decided), hashlib.sha256(text.encode()).hexdigest()) == LEAF_PINS[name]
 
 
 def test_entry_bound_on_indecomposables(small_complex_corpus):
